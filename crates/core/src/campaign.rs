@@ -23,9 +23,15 @@
 //! Faults are armed only while the workload runs; the plan is cleared
 //! before each simulated reboot so recovery and verification execute on
 //! healthy hardware (the model for "the operator replaced the cable").
+//!
+//! The randomized campaign and every exhaustive sweep run through one
+//! ordinal-sweep harness ([`sweep`]), so every crash state passes
+//! through the same outcome tally, the same recovery checks and the
+//! same fault-free-twin comparison.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::rc::Rc;
 
 use aurora_hw::{
@@ -33,7 +39,9 @@ use aurora_hw::{
     ResilientDev,
 };
 use aurora_objstore::{CkptId, ObjectStore, StoreConfig};
+use aurora_posix::Pid;
 use aurora_sim::error::{Error, Result};
+use aurora_sim::hash::fnv64;
 use aurora_sim::time::SimDuration;
 use aurora_sim::SimClock;
 use aurora_slsfs::StoreHandle;
@@ -41,7 +49,7 @@ use aurora_slsfs::StoreHandle;
 use crate::fleet::TenantHealth;
 use crate::replicate::{promote_to_host, ReplConfig};
 use crate::restore::RestoreMode;
-use crate::{CheckpointOutcome, GroupId, Host};
+use crate::{CheckpointBreakdown, CheckpointOutcome, GroupId, Host};
 
 /// Golden-ratio multiplier for deriving per-schedule seeds.
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -138,128 +146,448 @@ pub fn schedules_from_env(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Runs a full campaign: `cfg.schedules` independent fault schedules,
-/// each on a fresh host. Schedule failures that prevent the loop itself
-/// from making progress (boot errors, recovery errors) are recorded as
-/// violations rather than panics so one bad seed cannot hide the rest.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+// ---------------------------------------------------------------------------
+// The ordinal-sweep harness.
+
+/// Expected memory state per checkpoint name: the bytes at the arena's
+/// start, recorded *before* each attempt (the commit record may survive
+/// a crash mid-call).
+type Expected = HashMap<String, Vec<u8>>;
+
+/// Full-arena digest of every workload checkpoint of a fault-free twin
+/// run, keyed by checkpoint name.
+type TwinDigests = HashMap<String, u64>;
+
+/// One ordinal of a sweep: the label its violations carry
+/// (`"<sweep> <ordinal>"`) and the sweep's report.
+struct Trial<'r> {
+    label: String,
+    report: &'r mut CampaignReport,
+}
+
+/// Runs one sweep: a `label`, the `ordinals` it walks, a fault-free
+/// `twin` built once before the first ordinal ([`no_twin`] when the
+/// sweep compares against recorded state only) and a per-ordinal
+/// `body`.
+///
+/// An `Err` from one ordinal's body is recorded as
+/// `"<label> <n>: harness error: …"` and the sweep moves on, so one bad
+/// ordinal cannot hide the rest; every ordinal counts as a schedule. A
+/// twin that fails or records a violation ends the sweep before any
+/// ordinal runs — there would be nothing sound to compare against. The
+/// twin's own checkpoints are not tallied.
+fn sweep<O: Copy + Display, T>(
+    label: &str,
+    ordinals: impl IntoIterator<Item = O>,
+    twin: impl FnOnce(&mut Trial<'_>) -> Result<T>,
+    mut body: impl FnMut(&mut Trial<'_>, O, &T) -> Result<()>,
+) -> CampaignReport {
     let mut report = CampaignReport::default();
-    for idx in 0..cfg.schedules {
-        if let Err(e) = run_schedule(cfg, idx, &mut report) {
+    let mut scratch = CampaignReport::default();
+    let twin = twin(&mut Trial {
+        label: format!("{label} twin"),
+        report: &mut scratch,
+    });
+    report.violations.append(&mut scratch.violations);
+    let twin = match twin {
+        Ok(t) if report.passed() => t,
+        Ok(_) => return report,
+        Err(e) => {
             report
                 .violations
-                .push(format!("schedule {idx}: harness error: {e}"));
+                .push(format!("{label} twin: harness error: {e}"));
+            return report;
+        }
+    };
+    for n in ordinals {
+        let mut trial = Trial {
+            label: format!("{label} {n}"),
+            report: &mut report,
+        };
+        if let Err(e) = body(&mut trial, n, &twin) {
+            trial.violation(format_args!("harness error: {e}"));
         }
         report.schedules += 1;
     }
     report
 }
 
-/// Boots a host on a fresh simulated NVMe device.
-fn boot_host() -> Result<Host> {
-    boot_host_config(StoreConfig {
-        journal_blocks: 512,
-        ..StoreConfig::default()
-    })
+/// The twin of a sweep that checks survivors against recorded state only.
+fn no_twin(_: &mut Trial<'_>) -> Result<()> {
+    Ok(())
 }
 
-/// Boots a campaign host with an explicit store configuration.
-fn boot_host_config(config: StoreConfig) -> Result<Host> {
+impl Trial<'_> {
+    /// Records an invariant violation under this ordinal's label.
+    fn violation(&mut self, what: impl Display) {
+        self.report
+            .violations
+            .push(format!("{}: {what}", self.label));
+    }
+
+    /// Tallies one checkpoint outcome.
+    fn tally(&mut self, outcome: CheckpointOutcome) {
+        let r = &mut *self.report;
+        if !outcome.committed() {
+            r.aborted += 1;
+            return;
+        }
+        r.committed += 1;
+        r.degraded += u64::from(outcome == CheckpointOutcome::DegradedToFull);
+        r.degraded_mirror += u64::from(outcome == CheckpointOutcome::DegradedMirror);
+    }
+
+    /// Tallies checkpoint attempt `name`. An error counts as an abort;
+    /// it is a violation unless `crashed` says the attempt's device died
+    /// under it (a cut that lands mid-call is the machine crashing, not
+    /// an error to report).
+    fn record(
+        &mut self,
+        name: &str,
+        res: Result<CheckpointBreakdown>,
+        crashed: bool,
+    ) -> Option<CheckpointBreakdown> {
+        match res {
+            Ok(bd) => {
+                self.tally(bd.outcome);
+                Some(bd)
+            }
+            Err(e) => {
+                self.report.aborted += 1;
+                if !crashed {
+                    self.violation(format_args!("checkpoint {name} error on live device: {e}"));
+                }
+                None
+            }
+        }
+    }
+
+    /// Takes serial checkpoint `name` of `gid` and records it; a
+    /// committed checkpoint advances the clock to its durability point.
+    fn checkpoint(
+        &mut self,
+        host: &mut Host,
+        gid: GroupId,
+        full: bool,
+        name: &str,
+    ) -> Option<CheckpointBreakdown> {
+        let res = host.checkpoint(gid, full, Some(name));
+        let bd = self.record(name, res, dead(&host.sls.primary))?;
+        if bd.outcome.committed() {
+            host.clock.advance_to(bd.durable_at);
+        }
+        Some(bd)
+    }
+
+    /// Takes the fault-free full baseline `r0` and returns its id; the
+    /// ordinal cannot go on without it.
+    fn baseline(&mut self, host: &mut Host, gid: GroupId) -> Result<CkptId> {
+        self.checkpoint(host, gid, true, "r0")
+            .and_then(|bd| bd.ckpt)
+            .ok_or_else(|| Error::internal("baseline did not commit"))
+    }
+
+    /// Disarms the primary's faults, crashes and reboots the machine,
+    /// and checks both campaign invariants on the recovered host.
+    fn crash_and_verify(&mut self, host: Host, addr: u64, expected: &Expected) -> Result<Host> {
+        arm(&host, FaultPlan::default());
+        let mut host = host.crash_and_reboot()?;
+        self.report.crashes += 1;
+        self.verify_recovered(&mut host, addr, expected);
+        Ok(host)
+    }
+
+    /// Checks both campaign invariants on a freshly recovered host.
+    fn verify_recovered(&mut self, host: &mut Host, addr: u64, expected: &Expected) {
+        let store = host.sls.primary.clone();
+
+        // Invariant 1: the recovered store is internally consistent and
+        // every surviving page matches its recorded hash.
+        let problems = store.borrow_mut().scrub();
+        if !problems.is_empty() {
+            self.violation(format_args!(
+                "scrub found {} problem(s) after recovery: {}",
+                problems.len(),
+                problems.join("; ")
+            ));
+        }
+
+        // Invariant 2: every surviving checkpoint restores to exactly the
+        // state recorded at its barrier.
+        for (id, name) in named(&store) {
+            let Some(want) = expected.get(&name) else {
+                // Internal checkpoints (e.g. SLSFS bookkeeping) are not part
+                // of the workload; scrub already validated their contents.
+                continue;
+            };
+            match restore_read(host, &store, id, addr, want.len()) {
+                Ok(got) if &got == want => self.report.restores_verified += 1,
+                Ok(got) => self.violation(format_args!(
+                    "checkpoint {name} restored {:?}, expected {:?}",
+                    String::from_utf8_lossy(&got),
+                    String::from_utf8_lossy(want)
+                )),
+                Err(e) => self.violation(format_args!(
+                    "surviving checkpoint {name} failed to restore: {e}"
+                )),
+            }
+        }
+    }
+
+    /// Digests every checkpoint on `store` that `keep` selects and
+    /// compares it with the fault-free twin's checkpoint of the same
+    /// name: replay after a fault must reconstruct byte-identical
+    /// memory. Returns the names it found.
+    fn check_twin(
+        &mut self,
+        host: &mut Host,
+        store: &StoreHandle,
+        addr: u64,
+        twin: &TwinDigests,
+        keep: impl Fn(&str) -> bool,
+    ) -> Vec<String> {
+        let digests = arena_digests(host, store, addr, keep);
+        for (name, got) in &digests {
+            match (got, twin.get(name)) {
+                (Ok(got), Some(want)) if got == want => self.report.restores_verified += 1,
+                (Ok(got), Some(want)) => self.violation(format_args!(
+                    "checkpoint {name} digest {got:#018x} diverges from fault-free twin {want:#018x}"
+                )),
+                (Ok(_), None) => {
+                    self.violation(format_args!("checkpoint {name} has no twin digest"))
+                }
+                (Err(e), _) => {
+                    self.violation(format_args!("digesting checkpoint {name} failed: {e}"))
+                }
+            }
+        }
+        digests.into_iter().map(|(name, _)| name).collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hosts, workloads and digests the sweeps share.
+
+/// The campaign store: a 512-block journal; `materialize_data` makes
+/// page bytes really go through the device.
+fn store_config(materialize_data: bool) -> StoreConfig {
+    StoreConfig {
+        journal_blocks: 512,
+        materialize_data,
+        ..StoreConfig::default()
+    }
+}
+
+/// Boots a campaign host on a fresh simulated NVMe device.
+fn boot_host(config: StoreConfig) -> Result<Host> {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", 64 * 1024));
     Host::boot("campaign", dev, config)
 }
 
-/// Arms a randomized fault schedule on the primary device.
-fn arm_faults(host: &mut Host, seed: u64, rates: FaultRates) {
-    host.sls
-        .primary
-        .borrow_mut()
-        .device_mut()
-        .install_fault_plan(FaultPlan::random(seed, rates));
+/// Boots a materialized host that flushes on `workers` parallel
+/// workers, optionally capping delta chains at `chain_cap`.
+fn flush_host(workers: usize, chain_cap: Option<u32>) -> Result<Host> {
+    let mut config = store_config(true);
+    if let Some(cap) = chain_cap {
+        config.delta_max_chain = cap;
+    }
+    let mut host = boot_host(config)?;
+    host.sls.flush_workers = workers;
+    Ok(host)
 }
 
-/// Clears any armed fault plan so recovery runs on healthy hardware.
-fn disarm_faults(host: &mut Host) {
+/// Boots a materialized campaign host whose primary store sits on a
+/// `width`-way mirror of simulated NVMe devices sharing one clock.
+fn boot_mirror_host(width: usize) -> Result<Host> {
+    let clock = SimClock::new();
+    let members: Vec<Box<dyn BlockDev>> = (0..width)
+        .map(|i| {
+            Box::new(ModelDev::nvme(clock.clone(), &format!("nvme{i}"), 64 * 1024))
+                as Box<dyn BlockDev>
+        })
+        .collect();
+    Host::boot_mirrored("campaign", members, store_config(true))
+}
+
+/// Runs `f` against the primary store's mirror device.
+fn with_mirror<T>(host: &Host, f: impl FnOnce(&mut MirrorDev) -> T) -> Result<T> {
+    let mut store = host.sls.primary.borrow_mut();
+    let m = store
+        .device_mut()
+        .as_mirror_mut()
+        .ok_or_else(|| Error::internal("campaign host has no mirror"))?;
+    Ok(f(m))
+}
+
+/// Installs `plan` on the primary device; `FaultPlan::default()`
+/// disarms it.
+fn arm(host: &Host, plan: FaultPlan) {
     host.sls
         .primary
         .borrow_mut()
         .device_mut()
-        .install_fault_plan(FaultPlan::default());
+        .install_fault_plan(plan);
+}
+
+/// True when `store`'s device has lost power.
+fn dead(store: &StoreHandle) -> bool {
+    store.borrow().device().health() == DevHealth::Dead
+}
+
+/// A persisted app: its process, its group and its anonymous arena.
+#[derive(Clone, Copy)]
+struct App {
+    pid: Pid,
+    gid: GroupId,
+    addr: u64,
+}
+
+impl App {
+    /// Spawns process `name` with a `pages`-page arena and persists it.
+    fn spawn(host: &mut Host, name: &str, pages: u64) -> Result<App> {
+        let pid = host.kernel.spawn(name);
+        let addr = host.kernel.mmap_anon(pid, pages * 4096, false)?;
+        let gid = host.persist(name, pid)?;
+        Ok(App { pid, gid, addr })
+    }
+
+    /// Writes `body(p)` at the start of each of the arena's first
+    /// `pages` pages.
+    fn fill(&self, host: &mut Host, pages: u64, body: impl Fn(u64) -> String) -> Result<()> {
+        for p in 0..pages {
+            host.kernel
+                .mem_write(self.pid, self.addr + p * 4096, body(p).as_bytes())?;
+        }
+        Ok(())
+    }
+
+    /// Stamps each of [`SWEEP_PAGES`] pages with `"{tag}-p{p:04}"` —
+    /// distinct contents per page so nothing dedups away and the flush
+    /// plan really spans multiple extents — and returns page 0's stamp,
+    /// the state a checkpoint taken now must restore.
+    fn stamp(&self, host: &mut Host, tag: &str) -> Result<Vec<u8>> {
+        self.fill(host, SWEEP_PAGES, |p| format!("{tag}-p{p:04}"))?;
+        Ok(format!("{tag}-p0000").into_bytes())
+    }
+
+    /// Writes round `round` of the delta workload tagged `tag` over a
+    /// [`DELTA_SWEEP_PAGES`]-page arena and returns page 0's body.
+    fn delta_round(&self, host: &mut Host, tag: &str, round: u32) -> Result<Vec<u8>> {
+        self.fill(host, DELTA_SWEEP_PAGES, |p| delta_page_body(tag, round, p))?;
+        Ok(delta_page_body(tag, round, 0).into_bytes())
+    }
+}
+
+/// The arena address every tenant shares. Fresh address spaces map each
+/// tenant's arena at the same virtual address, which lets the
+/// single-address verification helpers serve all of them.
+fn shared_arena<'a>(apps: impl IntoIterator<Item = &'a App>) -> Result<u64> {
+    let mut addrs = apps.into_iter().map(|a| a.addr);
+    let addr = addrs
+        .next()
+        .ok_or_else(|| Error::internal("sweep has no tenants"))?;
+    if addrs.any(|a| a != addr) {
+        return Err(Error::internal(
+            "sweep tenants mapped their arenas at different addresses",
+        ));
+    }
+    Ok(addr)
+}
+
+/// Restores checkpoint `id` from `store`, reads `len` bytes of the
+/// restored root process's memory at `addr`, and tears the process
+/// back down.
+fn restore_read(
+    host: &mut Host,
+    store: &StoreHandle,
+    id: CkptId,
+    addr: u64,
+    len: usize,
+) -> Result<Vec<u8>> {
+    let r = host.restore(store, id, RestoreMode::Eager)?;
+    let np = r
+        .root_pid()
+        .ok_or_else(|| Error::internal("restore returned no root pid"))?;
+    let mut buf = vec![0u8; len];
+    let read = host.kernel.mem_read(np, addr, &mut buf);
+    let _ = host.kernel.exit(np, 0);
+    host.kernel.procs.remove(&np);
+    read.map(|()| buf)
+}
+
+/// `(id, name)` of every named checkpoint on `store`.
+fn named(store: &StoreHandle) -> Vec<(CkptId, String)> {
+    store
+        .borrow()
+        .checkpoints()
+        .iter()
+        .filter_map(|c| c.name.clone().map(|n| (c.id, n)))
+        .collect()
+}
+
+/// Restores every checkpoint on `store` whose name `keep` selects and
+/// digests its whole [`DELTA_SWEEP_PAGES`]-page arena. A fault-free twin
+/// collects these into its [`TwinDigests`]; [`Trial::check_twin`]
+/// compares a recovered host's against them.
+fn arena_digests(
+    host: &mut Host,
+    store: &StoreHandle,
+    addr: u64,
+    keep: impl Fn(&str) -> bool,
+) -> Vec<(String, Result<u64>)> {
+    named(store)
+        .into_iter()
+        .filter(|(_, name)| keep(name))
+        .map(|(id, name)| {
+            let bytes = (DELTA_SWEEP_PAGES * 4096) as usize;
+            let digest = restore_read(host, store, id, addr, bytes).map(|b| fnv64(&b));
+            (name, digest)
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// The sweeps.
+
+/// Runs a full campaign: `cfg.schedules` independent fault schedules,
+/// each on a fresh host. Schedule failures that prevent the loop itself
+/// from making progress (boot errors, recovery errors) are recorded as
+/// violations rather than panics so one bad seed cannot hide the rest.
+pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+    sweep("schedule", 0..cfg.schedules, no_twin, |t, idx, _| {
+        run_schedule(t, cfg, idx)
+    })
 }
 
 /// Runs one fault schedule end to end.
-fn run_schedule(cfg: &CampaignConfig, idx: u64, report: &mut CampaignReport) -> Result<()> {
+fn run_schedule(t: &mut Trial<'_>, cfg: &CampaignConfig, idx: u64) -> Result<()> {
     let schedule_seed = cfg.seed ^ idx.wrapping_mul(GOLDEN);
-    let mut host = boot_host()?;
-    let mut pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, 4 * 4096, false)?;
-    let mut gid = host.persist("app", pid)?;
-
-    // Expected memory state per checkpoint name, recorded BEFORE each
-    // attempt (the commit record may survive a crash mid-call).
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
+    let mut host = boot_host(store_config(false))?;
+    let mut app = App::spawn(&mut host, "app", 4)?;
+    let mut expected = Expected::new();
     // Bumped on every re-arm so a schedule that keeps crashing at the
     // same write does not replay the identical decision forever.
     let mut segment: u64 = 0;
 
     for round in 0..cfg.rounds {
         let tag = format!("s{idx:04}-r{round:03}");
-        host.kernel.mem_write(pid, addr, tag.as_bytes())?;
+        host.kernel.mem_write(app.pid, app.addr, tag.as_bytes())?;
         let name = format!("r{round}");
         expected.insert(name.clone(), tag.into_bytes());
 
-        let result = host.checkpoint(gid, round == 0, Some(&name));
-        let crash_now = match result {
-            Ok(bd) => {
-                match bd.outcome {
-                    CheckpointOutcome::Committed => report.committed += 1,
-                    CheckpointOutcome::DegradedToFull => {
-                        report.committed += 1;
-                        report.degraded += 1;
-                    }
-                    CheckpointOutcome::DegradedMirror => {
-                        report.committed += 1;
-                        report.degraded_mirror += 1;
-                    }
-                    // No standby is attached on this path; the arm keeps
-                    // the match exhaustive.
-                    CheckpointOutcome::DegradedReplication => report.committed += 1,
-                    CheckpointOutcome::Aborted => report.aborted += 1,
-                    // This path drives `Host::checkpoint` directly, not
-                    // the fleet scheduler, so quarantine never fires;
-                    // the arm keeps the match exhaustive.
-                    CheckpointOutcome::Quarantined => report.aborted += 1,
-                }
-                if bd.outcome.committed() {
-                    host.clock.advance_to(bd.durable_at);
-                }
-                // A power cut mid-flush leaves the device dead; that is
-                // the machine crashing, not an error to report.
-                host.sls.primary.borrow().device().health() == DevHealth::Dead
-            }
-            Err(e) => {
-                let dead = host.sls.primary.borrow().device().health() == DevHealth::Dead;
-                if !dead {
-                    report.violations.push(format!(
-                        "schedule {idx} round {round}: checkpoint error on live device: {e}"
-                    ));
-                }
-                report.aborted += 1;
-                true
-            }
-        };
+        // A power cut mid-flush leaves the device dead; that is the
+        // machine crashing.
+        let crash_now = t.checkpoint(&mut host, app.gid, round == 0, &name).is_none()
+            || dead(&host.sls.primary);
 
         if round == 0 {
             // Baseline is durable; arm the randomized schedule.
-            arm_faults(&mut host, schedule_seed, cfg.rates);
+            arm(&host, FaultPlan::random(schedule_seed, cfg.rates));
         }
 
         if crash_now || round + 1 == cfg.rounds {
-            disarm_faults(&mut host);
-            host = host.crash_and_reboot()?;
-            report.crashes += 1;
-            verify_recovered(&mut host, addr, &expected, idx, report);
+            host = t.crash_and_verify(host, app.addr, &expected)?;
 
             // Resume the workload from the newest surviving checkpoint.
             let store = host.sls.primary.clone();
@@ -268,28 +596,29 @@ fn run_schedule(cfg: &CampaignConfig, idx: u64, report: &mut CampaignReport) -> 
                 .head()
                 .ok_or_else(|| Error::internal("no durable checkpoint after reboot"))?;
             let r = host.restore(&store, head, RestoreMode::Eager)?;
-            pid = r
+            app.pid = r
                 .root_pid()
                 .ok_or_else(|| Error::internal("restore returned no root pid"))?;
             drop(store);
-            gid = host.persist("app", pid)?;
+            app.gid = host.persist("app", app.pid)?;
 
             if round + 1 < cfg.rounds {
                 segment += 1;
-                arm_faults(
-                    &mut host,
-                    schedule_seed ^ segment.wrapping_mul(GOLDEN),
-                    cfg.rates,
-                );
+                let seed = schedule_seed ^ segment.wrapping_mul(GOLDEN);
+                arm(&host, FaultPlan::random(seed, cfg.rates));
             }
         }
     }
 
     let rs = host.sls.primary.borrow().device().retry_stats();
-    report.transient_absorbed += rs.transient_absorbed;
-    report.writes_retried += rs.writes_retried;
+    t.report.transient_absorbed += rs.transient_absorbed;
+    t.report.writes_retried += rs.writes_retried;
     Ok(())
 }
+
+/// Pages dirtied per sweep round — enough to span several coalesced
+/// extents even after dedup.
+const SWEEP_PAGES: u64 = 96;
 
 /// Power-cut sweep across the parallel coalesced flush.
 ///
@@ -305,75 +634,21 @@ fn run_schedule(cfg: &CampaignConfig, idx: u64, report: &mut CampaignReport) -> 
 /// checkpoint cannot hide) and every surviving checkpoint must restore
 /// to its recorded pre-checkpoint state.
 pub fn run_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for n in 1..=cuts {
-        if let Err(e) = run_power_cut_iteration(n, workers, &mut report) {
-            report
-                .violations
-                .push(format!("power-cut {n}: harness error: {e}"));
-        }
-        report.schedules += 1;
-    }
-    report
-}
-
-/// Pages dirtied per sweep round — enough to span several coalesced
-/// extents even after dedup.
-const SWEEP_PAGES: u64 = 96;
-
-/// One sweep iteration: cut power at device write `n` mid-flush.
-fn run_power_cut_iteration(n: u64, workers: usize, report: &mut CampaignReport) -> Result<()> {
-    let mut host = boot_host_config(StoreConfig {
-        journal_blocks: 512,
-        materialize_data: true,
-        ..StoreConfig::default()
-    })?;
-    host.sls.flush_workers = workers;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    for round in 0..2u32 {
-        let tag = format!("cut{n:04}-r{round}");
-        // Distinct contents per page so nothing dedups away and the
-        // flush plan really spans multiple extents.
-        for p in 0..SWEEP_PAGES {
-            let body = format!("{tag}-p{p:04}");
-            host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-        }
-        expected.insert(format!("r{round}"), format!("{tag}-p0000").into_bytes());
-
-        if round == 1 {
-            arm_faults_cut(&mut host, n);
-        }
-        let name = format!("r{round}");
-        match host.checkpoint(gid, round == 0, Some(&name)) {
-            Ok(bd) => {
-                if bd.outcome.committed() {
-                    report.committed += 1;
-                    host.clock.advance_to(bd.durable_at);
-                } else {
-                    report.aborted += 1;
-                }
+    sweep("power-cut", 1..=cuts, no_twin, |t, n, _| {
+        let mut host = flush_host(workers, None)?;
+        let app = App::spawn(&mut host, "app", SWEEP_PAGES)?;
+        let mut expected = Expected::new();
+        for round in 0..2u32 {
+            let name = format!("r{round}");
+            expected.insert(name.clone(), app.stamp(&mut host, &format!("cut{n:04}-r{round}"))?);
+            if round == 1 {
+                arm(&host, FaultPlan::power_cut(n));
             }
-            Err(e) => {
-                let dead = host.sls.primary.borrow().device().health() == DevHealth::Dead;
-                if !dead {
-                    report.violations.push(format!(
-                        "power-cut {n}: checkpoint error on live device: {e}"
-                    ));
-                }
-                report.aborted += 1;
-            }
+            t.checkpoint(&mut host, app.gid, round == 0, &name);
         }
-    }
-
-    disarm_faults(&mut host);
-    let mut host = host.crash_and_reboot()?;
-    report.crashes += 1;
-    verify_recovered(&mut host, addr, &expected, n, report);
-    Ok(())
+        t.crash_and_verify(host, app.addr, &expected)?;
+        Ok(())
+    })
 }
 
 /// Power-cut sweep across the batched restore read pipeline.
@@ -389,102 +664,66 @@ fn run_power_cut_iteration(n: u64, workers: usize, report: &mut CampaignReport) 
 /// through a different point of the read pipeline (metadata fetch,
 /// first extent, mid-extent).
 pub fn run_restore_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for n in 1..=cuts {
-        if let Err(e) = run_restore_cut_iteration(n, workers, &mut report) {
-            report
-                .violations
-                .push(format!("restore-cut {n}: harness error: {e}"));
+    sweep("restore-cut", 1..=cuts, no_twin, |t, n, _| {
+        let mut host = boot_host(store_config(true))?;
+        host.sls.restore_workers = workers;
+        let app = App::spawn(&mut host, "app", SWEEP_PAGES)?;
+        let expected = Expected::from([(
+            "r0".to_string(),
+            app.stamp(&mut host, &format!("rcut{n:04}"))?,
+        )]);
+        let ckpt = t.baseline(&mut host, app.gid)?;
+
+        // Cold start: every cached page is dropped, so the batched restore
+        // must read the device — and the cut lands mid-pipeline.
+        host.sls.primary.borrow_mut().drop_caches()?;
+        arm(&host, FaultPlan::power_cut_on_read(n));
+        let restored = {
+            let store = host.sls.primary.clone();
+            host.restore(&store, ckpt, RestoreMode::Eager)
+        };
+        if restored.is_err() {
+            // The cut landed inside the restore's reads; the machine is
+            // dead and the attempt is abandoned.
+            t.report.aborted += 1;
         }
-        report.schedules += 1;
-    }
-    report
-}
-
-/// One sweep iteration: cut power at device read `n` mid-restore.
-fn run_restore_cut_iteration(n: u64, workers: usize, report: &mut CampaignReport) -> Result<()> {
-    let mut host = boot_host_config(StoreConfig {
-        journal_blocks: 512,
-        materialize_data: true,
-        ..StoreConfig::default()
-    })?;
-    host.sls.restore_workers = workers;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-
-    let tag = format!("rcut{n:04}");
-    for p in 0..SWEEP_PAGES {
-        let body = format!("{tag}-p{p:04}");
-        host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-    }
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    expected.insert("r0".to_string(), format!("{tag}-p0000").into_bytes());
-    let bd = host.checkpoint(gid, true, Some("r0"))?;
-    host.clock.advance_to(bd.durable_at);
-    report.committed += 1;
-    let ckpt = bd
-        .ckpt
-        .ok_or_else(|| Error::internal("baseline did not commit"))?;
-
-    // Cold start: every cached page is dropped, so the batched restore
-    // must read the device — and the cut lands mid-pipeline.
-    host.sls.primary.borrow_mut().drop_caches()?;
-    host.sls
-        .primary
-        .borrow_mut()
-        .device_mut()
-        .install_fault_plan(FaultPlan::power_cut_on_read(n));
-    let restore_result = {
-        let store = host.sls.primary.clone();
-        host.restore(&store, ckpt, RestoreMode::Eager)
-    };
-    if restore_result.is_err() {
-        // The cut landed inside the restore's reads; the machine is
-        // dead and the attempt is abandoned.
-        report.aborted += 1;
-    }
-
-    disarm_faults(&mut host);
-    let mut host = host.crash_and_reboot()?;
-    report.crashes += 1;
-    verify_recovered(&mut host, addr, &expected, n, report);
-    Ok(())
+        t.crash_and_verify(host, app.addr, &expected)?;
+        Ok(())
+    })
 }
 
 /// Pages in the delta sweeps' working set — small on purpose: the point
 /// is many sub-page records per round, not extent width.
 const DELTA_SWEEP_PAGES: u64 = 24;
 
-/// Rounds per delta-sweep iteration: r0 is a full baseline, r1 a
-/// fault-free delta round (proving the path engages at all), r2 the
-/// delta round run under the armed power cut.
-const DELTA_ROUNDS: u32 = 3;
-
-/// Chain cap used by the compaction sweep: short enough that four delta
-/// rounds hit it and the final checkpoint triggers the auto-compactor.
-const COMPACT_CHAIN_CAP: u32 = 4;
-
-/// Rounds per compaction-sweep iteration: r0 base plus four delta
-/// rounds; the fourth reaches [`COMPACT_CHAIN_CAP`] and its checkpoint
-/// folds every chain while the cut is armed.
-const COMPACT_ROUNDS: u32 = 5;
-
-/// Boots a materialized host for the delta sweeps, optionally
-/// overriding the delta chain cap.
-fn delta_sweep_host(workers: usize, chain_cap: Option<u32>) -> Result<Host> {
-    let mut config = StoreConfig {
-        journal_blocks: 512,
-        materialize_data: true,
-        ..StoreConfig::default()
-    };
-    if let Some(cap) = chain_cap {
-        config.delta_max_chain = cap;
-    }
-    let mut host = boot_host_config(config)?;
-    host.sls.flush_workers = workers;
-    Ok(host)
+/// Shape of one delta-log power-cut sweep.
+struct DeltaSweep {
+    /// Page-stamp tag.
+    tag: &'static str,
+    /// Rounds per iteration: r0 is a full baseline, the rest delta
+    /// rounds; the cut is armed for the last.
+    rounds: u32,
+    /// Delta chain cap, when the sweep drives the chain compactor.
+    chain_cap: Option<u32>,
 }
+
+/// The delta sweep: r0 a full baseline, r1 a fault-free delta round
+/// (proving the path engages at all), r2 the delta round run under the
+/// armed power cut.
+const DELTA: DeltaSweep = DeltaSweep {
+    tag: "delta",
+    rounds: 3,
+    chain_cap: None,
+};
+
+/// The compaction sweep: r0 base plus four delta rounds under a chain
+/// cap of four — short enough that the fourth round reaches it and its
+/// checkpoint folds every chain while the cut is armed.
+const COMPACT: DeltaSweep = DeltaSweep {
+    tag: "compact",
+    rounds: 5,
+    chain_cap: Some(4),
+};
 
 /// Page-0-anchored body written to page `p` in round `round`. Round 0
 /// fills fresh pages (no committed base, so the full path applies);
@@ -498,146 +737,83 @@ fn delta_page_body(tag: &str, round: u32, p: u64) -> String {
     }
 }
 
-/// Applies round `round` of the delta-sweep workload.
-fn delta_round_writes(
-    host: &mut Host,
-    pid: aurora_posix::Pid,
-    addr: u64,
-    round: u32,
-    tag: &str,
-) -> Result<()> {
-    for p in 0..DELTA_SWEEP_PAGES {
-        let body = delta_page_body(tag, round, p);
-        host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-    }
-    Ok(())
+/// Workload checkpoints of the single-tenant delta sweeps; internal
+/// checkpoints (e.g. the compactor's) are validated by scrub alone.
+fn is_round(name: &str) -> bool {
+    name.starts_with('r')
 }
 
-/// FNV-1a over a byte slice (cheap content digest for twin comparison).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Restores checkpoint `id` from the primary store, digests the whole
-/// restored memory region, and tears the restored process back down.
-fn restore_digest(host: &mut Host, id: CkptId, addr: u64, bytes: usize) -> Result<u64> {
-    let store = host.sls.primary.clone();
-    restore_digest_on(host, &store, id, addr, bytes)
-}
-
-/// Like [`restore_digest`] but restores from an explicit store — the
-/// fault-domain sweep's tenants each checkpoint to their own store.
-fn restore_digest_on(
-    host: &mut Host,
-    store: &StoreHandle,
-    id: CkptId,
-    addr: u64,
-    bytes: usize,
-) -> Result<u64> {
-    let r = host.restore(store, id, RestoreMode::Eager)?;
-    let np = r
-        .root_pid()
-        .ok_or_else(|| Error::internal("restore returned no root pid"))?;
-    let mut buf = vec![0u8; bytes];
-    host.kernel.mem_read(np, addr, &mut buf)?;
-    let _ = host.kernel.exit(np, 0);
-    host.kernel.procs.remove(&np);
-    Ok(fnv1a(&buf))
-}
-
-/// Runs the delta workload on a fault-free twin host and returns the
-/// full-region digest of every workload checkpoint, keyed by name. The
-/// twin reboots before digesting so both sides of the comparison go
-/// through the same journal-replay recovery path.
-fn delta_twin_digests(
-    tag: &str,
+/// Runs a delta sweep's workload on a fresh host, arming a power cut at
+/// device write `cut` of the final round (none for the twin).
+fn delta_workload(
+    t: &mut Trial<'_>,
+    shape: &DeltaSweep,
     workers: usize,
-    rounds: u32,
-    chain_cap: Option<u32>,
-    expect_compaction: bool,
-) -> Result<HashMap<String, u64>> {
-    let mut host = delta_sweep_host(workers, chain_cap)?;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, DELTA_SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-    for round in 0..rounds {
-        delta_round_writes(&mut host, pid, addr, round, tag)?;
-        let bd = host.checkpoint(gid, round == 0, Some(&format!("r{round}")))?;
-        host.clock.advance_to(bd.durable_at);
-    }
-    {
-        let store = host.sls.primary.borrow();
-        let stats = &store.stats;
-        if stats.delta_records == 0 {
-            return Err(Error::internal(
-                "fault-free twin never staged a delta record",
-            ));
+    cut: Option<u64>,
+) -> Result<(Host, u64, Expected)> {
+    let mut host = flush_host(workers, shape.chain_cap)?;
+    let app = App::spawn(&mut host, "app", DELTA_SWEEP_PAGES)?;
+    let mut expected = Expected::new();
+    for round in 0..shape.rounds {
+        let name = format!("r{round}");
+        expected.insert(name.clone(), app.delta_round(&mut host, shape.tag, round)?);
+        if let Some(n) = cut.filter(|_| round + 1 == shape.rounds) {
+            arm(&host, FaultPlan::power_cut(n));
         }
-        if expect_compaction && stats.chains_compacted == 0 {
-            return Err(Error::internal(
-                "fault-free twin never triggered the chain compactor",
-            ));
+        t.checkpoint(&mut host, app.gid, round == 0, &name);
+        let (records, high) = {
+            let store = host.sls.primary.borrow();
+            (store.stats.delta_records, store.stats.chain_len_max)
+        };
+        if round == 1 && records == 0 {
+            t.violation("fault-free delta round never staged a delta record");
+        }
+        if let Some(cap) = shape.chain_cap.filter(|_| round + 2 == shape.rounds) {
+            // The penultimate round ran fault-free: chains must be one
+            // short of the cap, poised for the final round to fold.
+            if high + 1 < u64::from(cap) {
+                t.violation(format_args!(
+                    "chains only reached {high} before the final round"
+                ));
+            }
         }
     }
-    let mut host = host.crash_and_reboot()?;
-    let named: Vec<(CkptId, String)> = host
-        .sls
-        .primary
-        .borrow()
-        .checkpoints()
-        .iter()
-        .filter_map(|c| c.name.clone().map(|n| (c.id, n)))
-        .collect();
-    let mut out = HashMap::new();
-    for (id, name) in named {
-        // Internal checkpoints (e.g. the compactor's) are not workload
-        // rounds; scrub validates them, the twin map skips them.
-        if !name.starts_with('r') {
-            continue;
-        }
-        let digest = restore_digest(&mut host, id, addr, (DELTA_SWEEP_PAGES * 4096) as usize)?;
-        out.insert(name, digest);
+    let compacted = host.sls.primary.borrow().stats.chains_compacted;
+    if cut.is_none() && shape.chain_cap.is_some() && compacted == 0 {
+        t.violation("fault-free run never triggered the chain compactor");
     }
-    Ok(out)
+    Ok((host, app.addr, expected))
 }
 
-/// Compares every surviving workload checkpoint of a freshly recovered
-/// host against the fault-free twin's digest of the same name: replay
-/// of the delta log after a cut must reconstruct byte-identical memory.
-fn verify_against_twin(
-    host: &mut Host,
-    twin: &HashMap<String, u64>,
-    addr: u64,
+/// A power-cut sweep whose survivors must also match a fault-free twin.
+/// `workload(t, cut)` runs on a fresh host with a power cut armed at
+/// device write `cut` of its final round (`None` for the twin) and
+/// returns the host, the arena address and the expected state; `keep`
+/// selects the workload's own checkpoints.
+fn twin_checked_sweep(
     label: &str,
-    report: &mut CampaignReport,
-) {
-    let survivors: Vec<(CkptId, String)> = host
-        .sls
-        .primary
-        .borrow()
-        .checkpoints()
-        .iter()
-        .filter_map(|c| c.name.clone().map(|n| (c.id, n)))
-        .collect();
-    for (id, name) in survivors {
-        let Some(&want) = twin.get(&name) else {
-            continue;
-        };
-        match restore_digest(host, id, addr, (DELTA_SWEEP_PAGES * 4096) as usize) {
-            Ok(got) if got == want => report.restores_verified += 1,
-            Ok(got) => report.violations.push(format!(
-                "{label}: checkpoint {name} digest {got:#018x} diverges from fault-free twin {want:#018x}"
-            )),
-            Err(e) => report.violations.push(format!(
-                "{label}: digesting surviving checkpoint {name} failed: {e}"
-            )),
-        }
-    }
+    cuts: u64,
+    keep: fn(&str) -> bool,
+    workload: impl Fn(&mut Trial<'_>, Option<u64>) -> Result<(Host, u64, Expected)>,
+) -> CampaignReport {
+    let twin = |t: &mut Trial<'_>| {
+        let (host, addr, _) = workload(t, None)?;
+        // The twin reboots before digesting so both sides of the
+        // comparison go through the same journal-replay recovery path.
+        let mut host = host.crash_and_reboot()?;
+        let store = host.sls.primary.clone();
+        arena_digests(&mut host, &store, addr, keep)
+            .into_iter()
+            .map(|(name, digest)| Ok((name, digest?)))
+            .collect::<Result<TwinDigests>>()
+    };
+    sweep(label, 1..=cuts, twin, |t, n, twin| {
+        let (host, addr, expected) = workload(t, Some(n))?;
+        let mut host = t.crash_and_verify(host, addr, &expected)?;
+        let store = host.sls.primary.clone();
+        t.check_twin(&mut host, &store, addr, twin, keep);
+        Ok(())
+    })
 }
 
 /// Power-cut sweep across the delta-log append path.
@@ -654,80 +830,9 @@ fn verify_against_twin(
 /// restored-memory digest must match a fault-free twin run — replay
 /// equivalence, not just prefix equality.
 pub fn run_delta_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    let twin = match delta_twin_digests("delta", workers, DELTA_ROUNDS, None, false) {
-        Ok(t) => t,
-        Err(e) => {
-            report
-                .violations
-                .push(format!("delta-cut twin: harness error: {e}"));
-            return report;
-        }
-    };
-    for n in 1..=cuts {
-        if let Err(e) = run_delta_cut_iteration(n, workers, &twin, &mut report) {
-            report
-                .violations
-                .push(format!("delta-cut {n}: harness error: {e}"));
-        }
-        report.schedules += 1;
-    }
-    report
-}
-
-/// One sweep iteration: cut power at device write `n` mid-delta-flush.
-fn run_delta_cut_iteration(
-    n: u64,
-    workers: usize,
-    twin: &HashMap<String, u64>,
-    report: &mut CampaignReport,
-) -> Result<()> {
-    let mut host = delta_sweep_host(workers, None)?;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, DELTA_SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    for round in 0..DELTA_ROUNDS {
-        delta_round_writes(&mut host, pid, addr, round, "delta")?;
-        let name = format!("r{round}");
-        expected.insert(name.clone(), delta_page_body("delta", round, 0).into_bytes());
-
-        if round + 1 == DELTA_ROUNDS {
-            arm_faults_cut(&mut host, n);
-        }
-        match host.checkpoint(gid, round == 0, Some(&name)) {
-            Ok(bd) => {
-                if bd.outcome.committed() {
-                    report.committed += 1;
-                    host.clock.advance_to(bd.durable_at);
-                } else {
-                    report.aborted += 1;
-                }
-            }
-            Err(e) => {
-                let dead = host.sls.primary.borrow().device().health() == DevHealth::Dead;
-                if !dead {
-                    report.violations.push(format!(
-                        "delta-cut {n}: checkpoint error on live device: {e}"
-                    ));
-                }
-                report.aborted += 1;
-            }
-        }
-        if round == 1 && host.sls.primary.borrow().stats.delta_records == 0 {
-            report.violations.push(format!(
-                "delta-cut {n}: fault-free delta round never staged a delta record"
-            ));
-        }
-    }
-
-    disarm_faults(&mut host);
-    let mut host = host.crash_and_reboot()?;
-    report.crashes += 1;
-    verify_recovered(&mut host, addr, &expected, n, report);
-    verify_against_twin(&mut host, twin, addr, &format!("delta-cut {n}"), report);
-    Ok(())
+    twin_checked_sweep("delta-cut", cuts, is_round, |t, cut| {
+        delta_workload(t, &DELTA, workers, cut)
+    })
 }
 
 /// Power-cut sweep across the background chain compactor.
@@ -735,99 +840,16 @@ fn run_delta_cut_iteration(
 /// Compaction folds a delta chain back into a full base image through
 /// an ordinary committed checkpoint, so a cut anywhere inside it must
 /// leave either the old chain or the folded image — never a mix. Each
-/// iteration builds chains up to [`COMPACT_CHAIN_CAP`] over fault-free
-/// rounds, then arms a cut at device write `n` of the final round,
-/// whose checkpoint both commits the capping delta and auto-triggers
-/// the compactor: the ordinal walks the cut through the delta seal,
-/// the superblock flip, and every write of the fold itself. Recovery
-/// must scrub clean and every survivor must match the fault-free twin.
+/// iteration builds chains up to the cap over fault-free rounds, then
+/// arms a cut at device write `n` of the final round, whose checkpoint
+/// both commits the capping delta and auto-triggers the compactor: the
+/// ordinal walks the cut through the delta seal, the superblock flip,
+/// and every write of the fold itself. Recovery must scrub clean and
+/// every survivor must match the fault-free twin.
 pub fn run_compact_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    let twin = match delta_twin_digests(
-        "compact",
-        workers,
-        COMPACT_ROUNDS,
-        Some(COMPACT_CHAIN_CAP),
-        true,
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            report
-                .violations
-                .push(format!("compact-cut twin: harness error: {e}"));
-            return report;
-        }
-    };
-    for n in 1..=cuts {
-        if let Err(e) = run_compact_cut_iteration(n, workers, &twin, &mut report) {
-            report
-                .violations
-                .push(format!("compact-cut {n}: harness error: {e}"));
-        }
-        report.schedules += 1;
-    }
-    report
-}
-
-/// One sweep iteration: cut power at device write `n` while the final
-/// checkpoint commits the capping delta and folds every chain.
-fn run_compact_cut_iteration(
-    n: u64,
-    workers: usize,
-    twin: &HashMap<String, u64>,
-    report: &mut CampaignReport,
-) -> Result<()> {
-    let mut host = delta_sweep_host(workers, Some(COMPACT_CHAIN_CAP))?;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, DELTA_SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    for round in 0..COMPACT_ROUNDS {
-        delta_round_writes(&mut host, pid, addr, round, "compact")?;
-        let name = format!("r{round}");
-        expected.insert(name.clone(), delta_page_body("compact", round, 0).into_bytes());
-
-        if round + 1 == COMPACT_ROUNDS {
-            arm_faults_cut(&mut host, n);
-        }
-        match host.checkpoint(gid, round == 0, Some(&name)) {
-            Ok(bd) => {
-                if bd.outcome.committed() {
-                    report.committed += 1;
-                    host.clock.advance_to(bd.durable_at);
-                } else {
-                    report.aborted += 1;
-                }
-            }
-            Err(e) => {
-                let dead = host.sls.primary.borrow().device().health() == DevHealth::Dead;
-                if !dead {
-                    report.violations.push(format!(
-                        "compact-cut {n}: checkpoint error on live device: {e}"
-                    ));
-                }
-                report.aborted += 1;
-            }
-        }
-        if round + 2 == COMPACT_ROUNDS {
-            // The penultimate round ran fault-free: chains must be one
-            // short of the cap, poised for the final round to fold.
-            let high = host.sls.primary.borrow().stats.chain_len_max;
-            if high + 1 < u64::from(COMPACT_CHAIN_CAP) {
-                report.violations.push(format!(
-                    "compact-cut {n}: chains only reached {high} before the final round"
-                ));
-            }
-        }
-    }
-
-    disarm_faults(&mut host);
-    let mut host = host.crash_and_reboot()?;
-    report.crashes += 1;
-    verify_recovered(&mut host, addr, &expected, n, report);
-    verify_against_twin(&mut host, twin, addr, &format!("compact-cut {n}"), report);
-    Ok(())
+    twin_checked_sweep("compact-cut", cuts, is_round, |t, cut| {
+        delta_workload(t, &COMPACT, workers, cut)
+    })
 }
 
 /// Rounds per fleet-sweep iteration: r0 is a serialized full baseline
@@ -835,115 +857,55 @@ fn run_compact_cut_iteration(
 /// actually overlap), r2 the pipelined round run under the armed cut.
 const FLEET_ROUNDS: u32 = 3;
 
-/// Spawns the two fleet-sweep tenants on `host`, each with its own
-/// persisted group and a [`DELTA_SWEEP_PAGES`]-page arena. Both arenas
-/// land at the same per-process virtual address (fresh address spaces),
-/// which lets the single-address verification helpers serve both
-/// tenants.
-fn fleet_tenant_setup(host: &mut Host) -> Result<((aurora_posix::Pid, GroupId), (aurora_posix::Pid, GroupId), u64)> {
-    let pid_a = host.kernel.spawn("tenant-a");
-    let addr_a = host.kernel.mmap_anon(pid_a, DELTA_SWEEP_PAGES * 4096, false)?;
-    let gid_a = host.persist("tenant-a", pid_a)?;
-    let pid_b = host.kernel.spawn("tenant-b");
-    let addr_b = host.kernel.mmap_anon(pid_b, DELTA_SWEEP_PAGES * 4096, false)?;
-    let gid_b = host.persist("tenant-b", pid_b)?;
-    if addr_a != addr_b {
-        return Err(Error::internal(
-            "fleet sweep tenants mapped their arenas at different addresses",
-        ));
-    }
-    Ok(((pid_a, gid_a), (pid_b, gid_b), addr_a))
+/// The fleet sweep's tenants' own rounds.
+fn is_fleet_round(name: &str) -> bool {
+    name.starts_with("a-") || name.starts_with("b-")
 }
 
-/// Runs the two-tenant fleet workload fault-free and returns the
-/// full-region digest of every tenant checkpoint, keyed by name. Like
-/// [`delta_twin_digests`], the twin reboots before digesting so both
-/// sides of the comparison recover through journal replay.
-fn fleet_twin_digests(workers: usize) -> Result<HashMap<String, u64>> {
-    let mut host = delta_sweep_host(workers, None)?;
-    let ((pid_a, gid_a), (pid_b, gid_b), addr) = fleet_tenant_setup(&mut host)?;
+/// Runs the two-tenant fleet workload on a fresh host, arming a power
+/// cut at device write `cut` of the final pipelined round (none for the
+/// twin). Returns the host, the tenants' shared arena address and the
+/// expected state.
+fn fleet_workload(
+    t: &mut Trial<'_>,
+    workers: usize,
+    cut: Option<u64>,
+) -> Result<(Host, u64, Expected)> {
+    let mut host = flush_host(workers, None)?;
+    let tenants = [
+        ("a", App::spawn(&mut host, "tenant-a", DELTA_SWEEP_PAGES)?),
+        ("b", App::spawn(&mut host, "tenant-b", DELTA_SWEEP_PAGES)?),
+    ];
+    let addr = shared_arena(tenants.iter().map(|(_, app)| app))?;
+    let mut expected = Expected::new();
     for round in 0..FLEET_ROUNDS {
-        delta_round_writes(&mut host, pid_a, addr, round, "a")?;
-        delta_round_writes(&mut host, pid_b, addr, round, "b")?;
-        if round == 0 {
-            for (gid, name) in [(gid_a, "a-r0"), (gid_b, "b-r0")] {
-                let bd = host.checkpoint(gid, true, Some(name))?;
-                host.clock.advance_to(bd.durable_at);
-            }
-        } else {
-            host.checkpoint_pipelined(gid_a, false, Some(&format!("a-r{round}")))?;
-            host.checkpoint_pipelined(gid_b, false, Some(&format!("b-r{round}")))?;
-            host.fleet_drain();
+        for (tag, app) in &tenants {
+            expected.insert(format!("{tag}-r{round}"), app.delta_round(&mut host, tag, round)?);
         }
-    }
-    if host.sls.primary.borrow().stats.delta_records == 0 {
-        return Err(Error::internal(
-            "fleet twin never staged a delta record",
-        ));
-    }
-    if host.sls.fleet.stats.overlapped == 0 {
-        return Err(Error::internal(
-            "fleet twin never overlapped two tenants' cycles",
-        ));
-    }
-    let mut host = host.crash_and_reboot()?;
-    let named: Vec<(CkptId, String)> = host
-        .sls
-        .primary
-        .borrow()
-        .checkpoints()
-        .iter()
-        .filter_map(|c| c.name.clone().map(|n| (c.id, n)))
-        .collect();
-    let mut out = HashMap::new();
-    for (id, name) in named {
-        // Only the tenants' own rounds belong in the twin map.
-        if !name.starts_with("a-") && !name.starts_with("b-") {
-            continue;
+        let cut = cut.filter(|_| round + 1 == FLEET_ROUNDS);
+        if let Some(n) = cut {
+            arm(&host, FaultPlan::power_cut(n));
         }
-        let digest = restore_digest(&mut host, id, addr, (DELTA_SWEEP_PAGES * 4096) as usize)?;
-        out.insert(name, digest);
-    }
-    Ok(out)
-}
-
-/// Records the outcome of one fleet-sweep checkpoint attempt, treating
-/// an error on a dead device as an expected abort (the cut landed).
-fn fleet_ckpt_attempt(
-    host: &mut Host,
-    gid: GroupId,
-    full: bool,
-    name: &str,
-    pipelined: bool,
-    label: &str,
-    report: &mut CampaignReport,
-) {
-    let res = if pipelined {
-        host.checkpoint_pipelined(gid, full, Some(name))
-    } else {
-        host.checkpoint(gid, full, Some(name))
-    };
-    match res {
-        Ok(bd) => {
-            if bd.outcome.committed() {
-                report.committed += 1;
-                if !pipelined {
-                    host.clock.advance_to(bd.durable_at);
-                }
+        for (tag, app) in &tenants {
+            let name = format!("{tag}-r{round}");
+            if round == 0 {
+                t.checkpoint(&mut host, app.gid, true, &name);
             } else {
-                report.aborted += 1;
+                let res = host.checkpoint_pipelined(app.gid, false, Some(&name));
+                t.record(&name, res, dead(&host.sls.primary));
             }
         }
-        Err(e) => {
-            let dead = host.sls.primary.borrow().device().health() == DevHealth::Dead;
-            if !dead {
-                report
-                    .violations
-                    .push(format!("{label}: checkpoint error on live device: {e}"));
+        if round > 0 && cut.is_none() {
+            host.fleet_drain();
+            if host.sls.fleet.stats.overlapped == 0 {
+                t.violation("fault-free round never overlapped the two tenants' cycles");
             }
-            report.aborted += 1;
+        }
+        if round == 1 && host.sls.primary.borrow().stats.delta_records == 0 {
+            t.violation("fault-free rounds never staged a delta record");
         }
     }
+    Ok((host, addr, expected))
 }
 
 /// Power-cut sweep across two tenants' interleaved checkpoint cycles.
@@ -961,80 +923,9 @@ fn fleet_ckpt_attempt(
 /// restore to its recorded state, and every survivor's full digest
 /// must match a fault-free twin run of the same interleaving.
 pub fn run_fleet_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    let twin = match fleet_twin_digests(workers) {
-        Ok(t) => t,
-        Err(e) => {
-            report
-                .violations
-                .push(format!("fleet-cut twin: harness error: {e}"));
-            return report;
-        }
-    };
-    for n in 1..=cuts {
-        if let Err(e) = run_fleet_cut_iteration(n, workers, &twin, &mut report) {
-            report
-                .violations
-                .push(format!("fleet-cut {n}: harness error: {e}"));
-        }
-        report.schedules += 1;
-    }
-    report
-}
-
-/// One sweep iteration: cut power at device write `n` while the two
-/// tenants' final cycles interleave.
-fn run_fleet_cut_iteration(
-    n: u64,
-    workers: usize,
-    twin: &HashMap<String, u64>,
-    report: &mut CampaignReport,
-) -> Result<()> {
-    let mut host = delta_sweep_host(workers, None)?;
-    let ((pid_a, gid_a), (pid_b, gid_b), addr) = fleet_tenant_setup(&mut host)?;
-
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    let label = format!("fleet-cut {n}");
-    for round in 0..FLEET_ROUNDS {
-        delta_round_writes(&mut host, pid_a, addr, round, "a")?;
-        delta_round_writes(&mut host, pid_b, addr, round, "b")?;
-        for tag in ["a", "b"] {
-            expected.insert(
-                format!("{tag}-r{round}"),
-                delta_page_body(tag, round, 0).into_bytes(),
-            );
-        }
-
-        let cut_round = round + 1 == FLEET_ROUNDS;
-        if cut_round {
-            arm_faults_cut(&mut host, n);
-        }
-        let pipelined = round > 0;
-        let name_a = format!("a-r{round}");
-        let name_b = format!("b-r{round}");
-        fleet_ckpt_attempt(&mut host, gid_a, round == 0, &name_a, pipelined, &label, report);
-        fleet_ckpt_attempt(&mut host, gid_b, round == 0, &name_b, pipelined, &label, report);
-        if pipelined && !cut_round {
-            host.fleet_drain();
-            if host.sls.fleet.stats.overlapped == 0 {
-                report.violations.push(format!(
-                    "{label}: fault-free round never overlapped the two tenants' cycles"
-                ));
-            }
-        }
-        if round == 1 && host.sls.primary.borrow().stats.delta_records == 0 {
-            report.violations.push(format!(
-                "{label}: fault-free rounds never staged a delta record"
-            ));
-        }
-    }
-
-    disarm_faults(&mut host);
-    let mut host = host.crash_and_reboot()?;
-    report.crashes += 1;
-    verify_recovered(&mut host, addr, &expected, n, report);
-    verify_against_twin(&mut host, twin, addr, &label, report);
-    Ok(())
+    twin_checked_sweep("fleet-cut", cuts, is_fleet_round, |t, cut| {
+        fleet_workload(t, workers, cut)
+    })
 }
 
 /// Tenants in the fault-domain sweep. Tenant 0 is the poisoned one;
@@ -1071,69 +962,44 @@ enum TenantFault {
     ReadCorruption,
 }
 
-impl TenantFault {
-    fn label(self) -> &'static str {
-        match self {
+impl Display for TenantFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
             TenantFault::DeadDevice => "dead-device",
             TenantFault::LatencySpike => "latency-spike",
             TenantFault::ReadCorruption => "read-corruption",
-        }
+        })
     }
 }
 
-/// One fault-domain tenant: its process, its persistence group, and the
-/// private store the group was rehomed onto.
+/// One fault-domain tenant: its app and the private store its group was
+/// rehomed onto.
 struct FdTenant {
-    pid: aurora_posix::Pid,
-    gid: GroupId,
+    app: App,
     store: StoreHandle,
 }
 
-/// Formats a private store for fault-domain tenant `i` on its own
-/// simulated NVMe device (sharing the host's clock).
-fn fd_tenant_store(host: &Host, i: usize) -> Result<StoreHandle> {
-    let dev = Box::new(ModelDev::nvme(
-        host.clock.clone(),
-        &format!("tenant{i}"),
-        64 * 1024,
-    ));
-    let dev: Box<dyn BlockDev> = Box::new(ResilientDev::with_defaults(dev));
-    let store = ObjectStore::format(
-        dev,
-        StoreConfig {
-            journal_blocks: 512,
-            materialize_data: true,
-            ..StoreConfig::default()
-        },
-    )?;
-    Ok(Rc::new(RefCell::new(store)))
+/// Tenant `i`'s own checkpoints.
+fn tenant_prefix(i: usize) -> impl Fn(&str) -> bool {
+    let prefix = format!("t{i}-");
+    move |name: &str| name.starts_with(&prefix)
 }
 
-/// Spawns the fault-domain tenants, each persisted and rehomed onto its
-/// own store so a device fault is confined to one tenant. All arenas
-/// land at the same per-process virtual address (fresh address spaces).
+/// Spawns the fault-domain tenants, each persisted and rehomed onto a
+/// private store on its own simulated NVMe device (sharing the host's
+/// clock), so a device fault is confined to one tenant.
 fn fd_setup(host: &mut Host) -> Result<(Vec<FdTenant>, u64)> {
     let mut tenants = Vec::new();
-    let mut arena = None;
     for i in 0..FD_TENANTS {
-        let name = format!("tenant-{i}");
-        let pid = host.kernel.spawn(&name);
-        let addr = host.kernel.mmap_anon(pid, DELTA_SWEEP_PAGES * 4096, false)?;
-        let gid = host.persist(&name, pid)?;
-        let store = fd_tenant_store(host, i)?;
-        host.rehome_group(gid, store.clone())?;
-        match arena {
-            None => arena = Some(addr),
-            Some(a) if a != addr => {
-                return Err(Error::internal(
-                    "fault-domain tenants mapped their arenas at different addresses",
-                ));
-            }
-            Some(_) => {}
-        }
-        tenants.push(FdTenant { pid, gid, store });
+        let app = App::spawn(host, &format!("tenant-{i}"), DELTA_SWEEP_PAGES)?;
+        let dev = ModelDev::nvme(host.clock.clone(), &format!("tenant{i}"), 64 * 1024);
+        let dev: Box<dyn BlockDev> = Box::new(ResilientDev::with_defaults(Box::new(dev)));
+        let store = ObjectStore::format(dev, store_config(true))?;
+        let store: StoreHandle = Rc::new(RefCell::new(store));
+        host.rehome_group(app.gid, store.clone())?;
+        tenants.push(FdTenant { app, store });
     }
-    let addr = arena.ok_or_else(|| Error::internal("no fault-domain tenants"))?;
+    let addr = shared_arena(tenants.iter().map(|t| &t.app))?;
     Ok((tenants, addr))
 }
 
@@ -1141,18 +1007,18 @@ fn fd_setup(host: &mut Host) -> Result<(Vec<FdTenant>, u64)> {
 /// every tenant checkpoint (keyed by name) plus the longest observed
 /// admission-to-durable cycle span — the poisoned runs derive their
 /// per-cycle deadline from it so healthy tenants never miss.
-fn fd_twin_digests(workers: usize) -> Result<(HashMap<String, u64>, SimDuration)> {
-    let mut host = delta_sweep_host(workers, None)?;
+fn fd_twin(workers: usize) -> Result<(TwinDigests, SimDuration)> {
+    let mut host = flush_host(workers, None)?;
     let (tenants, addr) = fd_setup(&mut host)?;
     let mut max_span = SimDuration::ZERO;
     for round in 0..FD_ROUNDS {
-        for (i, t) in tenants.iter().enumerate() {
-            delta_round_writes(&mut host, t.pid, addr, round, &format!("t{i}"))?;
+        for (i, tenant) in tenants.iter().enumerate() {
+            tenant.app.delta_round(&mut host, &format!("t{i}"), round)?;
         }
-        for (i, t) in tenants.iter().enumerate() {
+        for (i, tenant) in tenants.iter().enumerate() {
             let before = host.clock.now();
             let name = format!("t{i}-r{round}");
-            let bd = host.checkpoint_pipelined(t.gid, round == 0, Some(&name))?;
+            let bd = host.checkpoint_pipelined(tenant.app.gid, round == 0, Some(&name))?;
             if !bd.outcome.committed() {
                 return Err(Error::internal(format!(
                     "fault-domain twin cycle {name} did not commit: {:?}",
@@ -1168,23 +1034,10 @@ fn fd_twin_digests(workers: usize) -> Result<(HashMap<String, u64>, SimDuration)
             "fault-domain twin never overlapped two tenants' cycles",
         ));
     }
-    let mut out = HashMap::new();
-    for (i, t) in tenants.iter().enumerate() {
-        let named: Vec<(CkptId, String)> = t
-            .store
-            .borrow()
-            .checkpoints()
-            .iter()
-            .filter_map(|c| c.name.clone().map(|n| (c.id, n)))
-            .collect();
-        let store = t.store.clone();
-        for (id, name) in named {
-            if !name.starts_with(&format!("t{i}-")) {
-                continue;
-            }
-            let digest =
-                restore_digest_on(&mut host, &store, id, addr, (DELTA_SWEEP_PAGES * 4096) as usize)?;
-            out.insert(name, digest);
+    let mut out = TwinDigests::new();
+    for (i, tenant) in tenants.iter().enumerate() {
+        for (name, digest) in arena_digests(&mut host, &tenant.store, addr, tenant_prefix(i)) {
+            out.insert(name, digest?);
         }
     }
     Ok((out, max_span))
@@ -1205,30 +1058,19 @@ fn fd_twin_digests(workers: usize) -> Result<(HashMap<String, u64>, SimDuration)
 ///
 /// [`QUARANTINE_AFTER`]: crate::fleet::QUARANTINE_AFTER
 pub fn run_fleet_fault_domain_sweep(workers: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    let (twin, max_span) = match fd_twin_digests(workers) {
-        Ok(t) => t,
-        Err(e) => {
-            report
-                .violations
-                .push(format!("fleet-domain twin: harness error: {e}"));
-            return report;
-        }
-    };
-    for fault in [
+    let faults = [
         TenantFault::DeadDevice,
         TenantFault::LatencySpike,
         TenantFault::ReadCorruption,
-    ] {
-        if let Err(e) = run_fd_iteration(fault, workers, &twin, max_span, &mut report) {
-            report.violations.push(format!(
-                "fleet-domain {}: harness error: {e}",
-                fault.label()
-            ));
-        }
-        report.schedules += 1;
-    }
-    report
+    ];
+    sweep(
+        "fleet-domain",
+        faults,
+        |_| fd_twin(workers),
+        |t, fault, (twin, max_span): &(TwinDigests, SimDuration)| {
+            fd_iteration(t, fault, workers, twin, *max_span)
+        },
+    )
 }
 
 /// Revives tenant 0's hardware before the probe round. A dead device is
@@ -1249,7 +1091,7 @@ fn fd_revive(host: &mut Host, tenants: &mut [FdTenant], fault: TenantFault) -> R
     // Release the group's handle first so the store can be unwrapped
     // and taken through recovery.
     let placeholder = host.sls.primary.clone();
-    host.rehome_group(t0.gid, placeholder)?;
+    host.rehome_group(t0.app.gid, placeholder)?;
     let old = std::mem::replace(&mut t0.store, host.sls.primary.clone());
     let inner = Rc::try_unwrap(old)
         .map_err(|_| Error::internal("tenant store still shared at remount"))?
@@ -1257,7 +1099,7 @@ fn fd_revive(host: &mut Host, tenants: &mut [FdTenant], fault: TenantFault) -> R
     let mut recovered = inner.recover()?;
     recovered.device_mut().install_fault_plan(FaultPlan::default());
     let fresh: StoreHandle = Rc::new(RefCell::new(recovered));
-    host.rehome_group(t0.gid, fresh.clone())?;
+    host.rehome_group(t0.app.gid, fresh.clone())?;
     t0.store = fresh;
     Ok(())
 }
@@ -1265,19 +1107,18 @@ fn fd_revive(host: &mut Host, tenants: &mut [FdTenant], fault: TenantFault) -> R
 /// One fault-domain iteration: poison tenant 0 with `fault`, drive the
 /// fleet through quarantine and re-admission, verify blast radius and
 /// digest equality against the twin.
-fn run_fd_iteration(
+fn fd_iteration(
+    t: &mut Trial<'_>,
     fault: TenantFault,
     workers: usize,
-    twin: &HashMap<String, u64>,
+    twin: &TwinDigests,
     max_span: SimDuration,
-    report: &mut CampaignReport,
 ) -> Result<()> {
-    let mut host = delta_sweep_host(workers, None)?;
+    let mut host = flush_host(workers, None)?;
     let (mut tenants, addr) = fd_setup(&mut host)?;
-    let label = format!("fleet-domain {}", fault.label());
     let gid0 = tenants
         .first()
-        .map(|t| t.gid)
+        .map(|tenant| tenant.app.gid)
         .ok_or_else(|| Error::internal("no poisoned tenant"))?;
 
     // Deadline calibrated from the twin's slowest fault-free cycle:
@@ -1299,8 +1140,8 @@ fn run_fd_iteration(
                 host.clock.advance_to(probe_at);
             }
         }
-        for (i, t) in tenants.iter().enumerate() {
-            delta_round_writes(&mut host, t.pid, addr, round, &format!("t{i}"))?;
+        for (i, tenant) in tenants.iter().enumerate() {
+            tenant.app.delta_round(&mut host, &format!("t{i}"), round)?;
         }
         if round == FD_FAULT_ROUND {
             let plan = match fault {
@@ -1320,34 +1161,17 @@ fn run_fd_iteration(
                 t0.store.borrow_mut().device_mut().install_fault_plan(plan);
             }
         }
-        for (i, t) in tenants.iter().enumerate() {
+        for (i, tenant) in tenants.iter().enumerate() {
             let name = format!("t{i}-r{round}");
-            match host.checkpoint_pipelined(t.gid, round == 0, Some(&name)) {
-                Ok(bd) if bd.outcome == CheckpointOutcome::Quarantined => {
-                    report.aborted += 1;
-                    if i != 0 {
-                        report.violations.push(format!(
-                            "{label}: healthy tenant cycle {name} was quarantine-skipped"
-                        ));
-                    }
-                }
-                Ok(bd) if bd.outcome.committed() => report.committed += 1,
-                Ok(_) => {
-                    report.aborted += 1;
-                    if i != 0 {
-                        report
-                            .violations
-                            .push(format!("{label}: healthy tenant cycle {name} aborted"));
-                    }
-                }
-                Err(e) => {
-                    report.aborted += 1;
-                    let dead = t.store.borrow().device().health() == DevHealth::Dead;
-                    if i != 0 || !dead {
-                        report.violations.push(format!(
-                            "{label}: cycle {name} error on live device: {e}"
-                        ));
-                    }
+            let res = host.checkpoint_pipelined(tenant.app.gid, round == 0, Some(&name));
+            // Only the poisoned tenant's device may die under its cycle.
+            let crashed = i == 0 && dead(&tenant.store);
+            if let Some(bd) = t.record(&name, res, crashed) {
+                if i != 0 && !bd.outcome.committed() {
+                    t.violation(format_args!(
+                        "healthy tenant cycle {name} did not commit: {:?}",
+                        bd.outcome
+                    ));
                 }
             }
         }
@@ -1355,67 +1179,64 @@ fn run_fd_iteration(
         // tenant: a fault attributed to anyone else escaped its domain.
         for (g, f) in host.fleet_drain() {
             if g != gid0.0 {
-                report.violations.push(format!(
-                    "{label}: blast radius: fault recorded for healthy tenant {g}: {f}"
+                t.violation(format_args!(
+                    "blast radius: fault recorded for healthy tenant {g}: {f}"
                 ));
             }
         }
         let health0 = host.tenant_domain(gid0).health;
-        if round >= FD_FAULT_ROUND + 2 && round < FD_REVIVE_ROUND
+        if (FD_FAULT_ROUND + 2..FD_REVIVE_ROUND).contains(&round)
             && health0 != TenantHealth::Quarantined
         {
-            report.violations.push(format!(
-                "{label}: poisoned tenant not quarantined after round {round} ({})",
+            t.violation(format_args!(
+                "poisoned tenant not quarantined after round {round} ({})",
                 health0.as_str()
             ));
         }
     }
 
-    fd_verify(&mut host, &tenants, fault, twin, addr, &label, report);
+    fd_verify(t, &mut host, &tenants, fault, twin, addr);
     Ok(())
 }
 
 /// End-of-iteration checks: health outcomes, per-tenant store
 /// consistency, and digest equality against the fault-free twin.
 fn fd_verify(
+    t: &mut Trial<'_>,
     host: &mut Host,
     tenants: &[FdTenant],
     fault: TenantFault,
-    twin: &HashMap<String, u64>,
+    twin: &TwinDigests,
     addr: u64,
-    label: &str,
-    report: &mut CampaignReport,
 ) {
     let d0 = tenants
         .first()
-        .map(|t| host.tenant_domain(t.gid))
+        .map(|tenant| host.tenant_domain(tenant.app.gid))
         .unwrap_or_default();
     if d0.health != TenantHealth::Healthy {
-        report.violations.push(format!(
-            "{label}: poisoned tenant not re-admitted: {}",
+        t.violation(format_args!(
+            "poisoned tenant not re-admitted: {}",
             d0.health.as_str()
         ));
     }
     if d0.quarantines == 0 || d0.readmissions == 0 {
-        report.violations.push(format!(
-            "{label}: expected a quarantine and a re-admission, saw {} / {}",
+        t.violation(format_args!(
+            "expected a quarantine and a re-admission, saw {} / {}",
             d0.quarantines, d0.readmissions
         ));
     }
     if fault == TenantFault::DeadDevice && d0.cycles_skipped == 0 {
-        report.violations.push(format!(
-            "{label}: no cycle was skipped while the tenant sat quarantined"
-        ));
+        t.violation("no cycle was skipped while the tenant sat quarantined");
     }
-    for (i, t) in tenants.iter().enumerate().skip(1) {
-        let d = host.tenant_domain(t.gid);
+    for (i, tenant) in tenants.iter().enumerate().skip(1) {
+        let d = host.tenant_domain(tenant.app.gid);
         if d.health != TenantHealth::Healthy
             || d.failures != 0
             || d.deadline_misses != 0
             || d.cycles_skipped != 0
         {
-            report.violations.push(format!(
-                "{label}: healthy tenant {i} damaged: health {} failures {} \
+            t.violation(format_args!(
+                "healthy tenant {i} damaged: health {} failures {} \
                  deadline misses {} skipped {}",
                 d.health.as_str(),
                 d.failures,
@@ -1424,43 +1245,15 @@ fn fd_verify(
             ));
         }
     }
-    for (i, t) in tenants.iter().enumerate() {
-        let problems = t.store.borrow_mut().scrub();
+    for (i, tenant) in tenants.iter().enumerate() {
+        let problems = tenant.store.borrow_mut().scrub();
         if !problems.is_empty() {
-            report.violations.push(format!(
-                "{label}: tenant {i} store scrub: {}",
+            t.violation(format_args!(
+                "tenant {i} store scrub: {}",
                 problems.join("; ")
             ));
         }
-        let named: Vec<(CkptId, String)> = t
-            .store
-            .borrow()
-            .checkpoints()
-            .iter()
-            .filter_map(|c| c.name.clone().map(|n| (c.id, n)))
-            .collect();
-        let mut present: Vec<String> = Vec::new();
-        let store = t.store.clone();
-        for (id, name) in named {
-            if !name.starts_with(&format!("t{i}-")) {
-                continue;
-            }
-            match restore_digest_on(host, &store, id, addr, (DELTA_SWEEP_PAGES * 4096) as usize) {
-                Ok(d) => match twin.get(&name) {
-                    Some(&td) if td == d => {}
-                    Some(_) => report.violations.push(format!(
-                        "{label}: checkpoint {name} diverged from the fault-free twin"
-                    )),
-                    None => report.violations.push(format!(
-                        "{label}: checkpoint {name} has no twin digest"
-                    )),
-                },
-                Err(e) => report
-                    .violations
-                    .push(format!("{label}: restore of {name} failed: {e}")),
-            }
-            present.push(name);
-        }
+        let present = t.check_twin(host, &tenant.store, addr, twin, tenant_prefix(i));
         // Healthy tenants keep every round; the poisoned tenant must at
         // least keep its pre-fault checkpoints and its post-re-admission
         // one (whether the first post-revival probe landed is
@@ -1473,35 +1266,30 @@ fn fd_verify(
         for r in required {
             let name = format!("t{i}-r{r}");
             if !present.contains(&name) {
-                report
-                    .violations
-                    .push(format!("{label}: required checkpoint {name} missing"));
+                t.violation(format_args!("required checkpoint {name} missing"));
             }
         }
     }
 }
 
-/// Boots a campaign host whose primary store sits on a `width`-way
-/// mirror of simulated NVMe devices sharing one clock.
-fn boot_mirror_host(width: usize, config: StoreConfig) -> Result<Host> {
-    let clock = SimClock::new();
-    let members: Vec<Box<dyn BlockDev>> = (0..width)
-        .map(|i| {
-            Box::new(ModelDev::nvme(clock.clone(), &format!("nvme{i}"), 64 * 1024))
-                as Box<dyn BlockDev>
-        })
-        .collect();
-    Host::boot_mirrored("campaign", members, config)
-}
-
-/// Runs `f` against the primary store's mirror device.
-fn with_mirror<T>(host: &Host, f: impl FnOnce(&mut MirrorDev) -> T) -> Result<T> {
-    let mut store = host.sls.primary.borrow_mut();
-    let m = store
-        .device_mut()
-        .as_mirror_mut()
-        .ok_or_else(|| Error::internal("campaign host has no mirror"))?;
-    Ok(f(m))
+/// Zero-data-loss proof: detaches every replica but `keep` and checks
+/// both invariants again, with the whole store served by `keep` alone.
+fn verify_from_replica(
+    t: &mut Trial<'_>,
+    host: &mut Host,
+    width: usize,
+    keep: usize,
+    addr: u64,
+    expected: &Expected,
+) -> Result<()> {
+    with_mirror(host, |m| -> Result<()> {
+        for i in (0..width).filter(|&i| i != keep) {
+            m.kill_replica(i)?;
+        }
+        Ok(())
+    })??;
+    t.verify_recovered(host, addr, expected);
+    Ok(())
 }
 
 /// Replica-death sweep across the checkpoint flush.
@@ -1514,96 +1302,48 @@ fn with_mirror<T>(host: &Host, f: impl FnOnce(&mut MirrorDev) -> T) -> Result<T>
 /// the *resilvered replica alone* — proving the rebuild copied every
 /// live extent, not just the ones the failed write touched.
 pub fn run_mirror_kill_sweep(cuts: u64, width: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for n in 1..=cuts {
-        if let Err(e) = run_mirror_kill_iteration(n, width, &mut report) {
-            report
-                .violations
-                .push(format!("mirror-kill {n}: harness error: {e}"));
-        }
-        report.schedules += 1;
-    }
-    report
-}
+    sweep("mirror-kill", 1..=cuts, no_twin, |t, n, _| {
+        let mut host = boot_mirror_host(width)?;
+        host.sls.flush_workers = 4;
+        let app = App::spawn(&mut host, "app", SWEEP_PAGES)?;
+        let victim = (n as usize - 1) % width;
 
-/// One sweep iteration: replica `n % width` dies at its `n`-th write.
-fn run_mirror_kill_iteration(n: u64, width: usize, report: &mut CampaignReport) -> Result<()> {
-    let mut host = boot_mirror_host(
-        width,
-        StoreConfig {
-            journal_blocks: 512,
-            materialize_data: true,
-            ..StoreConfig::default()
-        },
-    )?;
-    host.sls.flush_workers = 4;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-    let victim = (n as usize - 1) % width;
-
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    for round in 0..2u32 {
-        let tag = format!("mkill{n:04}-r{round}");
-        for p in 0..SWEEP_PAGES {
-            let body = format!("{tag}-p{p:04}");
-            host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-        }
-        expected.insert(format!("r{round}"), format!("{tag}-p0000").into_bytes());
-
-        if round == 1 {
-            with_mirror(&host, |m| m.install_replica_fault_plan(victim, FaultPlan::power_cut(n)))??;
-        }
-        let bd = host.checkpoint(gid, round == 0, Some(&format!("r{round}")))?;
-        match bd.outcome {
-            CheckpointOutcome::DegradedMirror => {
-                report.committed += 1;
-                report.degraded_mirror += 1;
+        let mut expected = Expected::new();
+        for round in 0..2u32 {
+            let name = format!("r{round}");
+            expected.insert(name.clone(), app.stamp(&mut host, &format!("mkill{n:04}-r{round}"))?);
+            if round == 1 {
+                with_mirror(&host, |m| m.install_replica_fault_plan(victim, FaultPlan::power_cut(n)))??;
             }
-            o if o.committed() => report.committed += 1,
-            _ => {
-                report.aborted += 1;
-                report.violations.push(format!(
-                    "mirror-kill {n}: checkpoint aborted despite {} surviving replica(s): {:?}",
-                    width - 1,
-                    bd.fault,
-                ));
+            if let Some(bd) = t.checkpoint(&mut host, app.gid, round == 0, &name) {
+                if !bd.outcome.committed() {
+                    t.violation(format_args!(
+                        "checkpoint aborted despite {} surviving replica(s): {:?}",
+                        width - 1,
+                        bd.fault,
+                    ));
+                }
             }
         }
-        if bd.outcome.committed() {
-            host.clock.advance_to(bd.durable_at);
+
+        // Revive the victim and rebuild it from the survivors.
+        let degraded = with_mirror(&host, |m| m.is_degraded())?;
+        if degraded {
+            with_mirror(&host, |m| {
+                m.install_replica_fault_plan(victim, FaultPlan::default())?;
+                m.revive_replica(victim)
+            })??;
+            host.resilver()?;
         }
-    }
-
-    // Revive the victim and rebuild it from the survivors.
-    let degraded = with_mirror(&host, |m| m.is_degraded())?;
-    if degraded {
-        with_mirror(&host, |m| {
-            m.install_replica_fault_plan(victim, FaultPlan::default())?;
-            m.revive_replica(victim)
-        })??;
-        host.resilver()?;
-    }
-    verify_recovered(&mut host, addr, &expected, n, report);
-
-    // Zero-data-loss proof: detach every *other* replica and verify the
-    // whole store — scrub and both restores — from the rebuilt one.
-    if degraded {
-        with_mirror(&host, |m| -> Result<()> {
-            for i in (0..width).filter(|&i| i != victim) {
-                m.kill_replica(i)?;
-            }
-            Ok(())
-        })??;
-        verify_recovered(&mut host, addr, &expected, n, report);
-    }
-    let (f, rr) = with_mirror(&host, |m| {
-        let ms = m.mirror_stats();
-        (ms.failovers, ms.read_repairs)
-    })?;
-    report.failovers += f;
-    report.read_repairs += rr;
-    Ok(())
+        t.verify_recovered(&mut host, app.addr, &expected);
+        if degraded {
+            verify_from_replica(t, &mut host, width, victim, app.addr, &expected)?;
+        }
+        let ms = with_mirror(&host, |m| m.mirror_stats())?;
+        t.report.failovers += ms.failovers;
+        t.report.read_repairs += ms.read_repairs;
+        Ok(())
+    })
 }
 
 /// Replica-death sweep across the batched restore.
@@ -1614,83 +1354,35 @@ fn run_mirror_kill_iteration(n: u64, width: usize, report: &mut CampaignReport) 
 /// (no abort — reads are the whole point of redundancy), the victim is
 /// detached, and the store verifies clean afterwards.
 pub fn run_mirror_restore_failover_sweep(cuts: u64, width: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for n in 1..=cuts {
-        if let Err(e) = run_mirror_restore_iteration(n, width, &mut report) {
-            report
-                .violations
-                .push(format!("mirror-restore {n}: harness error: {e}"));
-        }
-        report.schedules += 1;
-    }
-    report
-}
+    sweep("mirror-restore", 1..=cuts, no_twin, |t, n, _| {
+        let mut host = boot_mirror_host(width)?;
+        host.sls.restore_workers = 4;
+        let app = App::spawn(&mut host, "app", SWEEP_PAGES)?;
+        let want = app.stamp(&mut host, &format!("mrest{n:04}"))?;
+        let ckpt = t.baseline(&mut host, app.gid)?;
 
-/// One sweep iteration: the preferred replica dies at its `n`-th read.
-fn run_mirror_restore_iteration(n: u64, width: usize, report: &mut CampaignReport) -> Result<()> {
-    let mut host = boot_mirror_host(
-        width,
-        StoreConfig {
-            journal_blocks: 512,
-            materialize_data: true,
-            ..StoreConfig::default()
-        },
-    )?;
-    host.sls.restore_workers = 4;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-
-    let tag = format!("mrest{n:04}");
-    for p in 0..SWEEP_PAGES {
-        let body = format!("{tag}-p{p:04}");
-        host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-    }
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    expected.insert("r0".to_string(), format!("{tag}-p0000").into_bytes());
-    let bd = host.checkpoint(gid, true, Some("r0"))?;
-    host.clock.advance_to(bd.durable_at);
-    report.committed += 1;
-    let ckpt = bd
-        .ckpt
-        .ok_or_else(|| Error::internal("baseline did not commit"))?;
-
-    // Cold cache, then kill the read-preferred replica mid-restore.
-    host.sls.primary.borrow_mut().drop_caches()?;
-    with_mirror(&host, |m| {
-        m.install_replica_fault_plan(0, FaultPlan::power_cut_on_read(n))
-    })??;
-    let restore_result = {
+        // Cold cache, then kill the read-preferred replica mid-restore.
+        host.sls.primary.borrow_mut().drop_caches()?;
+        with_mirror(&host, |m| {
+            m.install_replica_fault_plan(0, FaultPlan::power_cut_on_read(n))
+        })??;
         let store = host.sls.primary.clone();
-        host.restore(&store, ckpt, RestoreMode::Eager)
-    };
-    match restore_result {
-        Ok(r) => {
-            if let Some(np) = r.root_pid() {
-                let want = format!("{tag}-p0000").into_bytes();
-                let mut buf = vec![0u8; want.len()];
-                host.kernel.mem_read(np, addr, &mut buf)?;
-                if buf != want {
-                    report.violations.push(format!(
-                        "mirror-restore {n}: failover restore returned torn memory"
-                    ));
-                }
-                let _ = host.kernel.exit(np, 0);
-                host.kernel.procs.remove(&np);
+        match restore_read(&mut host, &store, ckpt, app.addr, want.len()) {
+            Ok(got) if got == want => {}
+            Ok(_) => t.violation("failover restore returned torn memory"),
+            Err(e) => {
+                t.report.aborted += 1;
+                t.violation(format_args!(
+                    "restore failed despite {} surviving replica(s): {e}",
+                    width - 1
+                ));
             }
         }
-        Err(e) => {
-            report.aborted += 1;
-            report.violations.push(format!(
-                "mirror-restore {n}: restore failed despite {} surviving replica(s): {e}",
-                width - 1
-            ));
-        }
-    }
-    with_mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::default()))??;
-    verify_recovered(&mut host, addr, &expected, n, report);
-    report.failovers += with_mirror(&host, |m| m.mirror_stats().failovers)?;
-    Ok(())
+        with_mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::default()))??;
+        t.verify_recovered(&mut host, app.addr, &Expected::from([("r0".to_string(), want)]));
+        t.report.failovers += with_mirror(&host, |m| m.mirror_stats().failovers)?;
+        Ok(())
+    })
 }
 
 /// Power-cut sweep across the background resilver.
@@ -1702,104 +1394,67 @@ fn run_mirror_restore_iteration(n: u64, width: usize, report: &mut CampaignRepor
 /// re-running the resilver finishes the copy, after which the store
 /// must verify served by the once-half-copied replica alone.
 pub fn run_resilver_power_cut_sweep(cuts: u64, width: usize) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for n in 1..=cuts {
-        if let Err(e) = run_resilver_cut_iteration(n, width, &mut report) {
-            report
-                .violations
-                .push(format!("resilver-cut {n}: harness error: {e}"));
+    sweep("resilver-cut", 1..=cuts, no_twin, |t, n, _| {
+        let mut host = boot_mirror_host(width)?;
+        let app = App::spawn(&mut host, "app", SWEEP_PAGES)?;
+        let victim = width - 1;
+
+        let mut expected = Expected::new();
+        expected.insert("r0".to_string(), app.stamp(&mut host, &format!("rsc{n:04}-r0"))?);
+        t.baseline(&mut host, app.gid)?;
+
+        // The victim dies cleanly; the next checkpoint runs degraded, so the
+        // victim's contents are genuinely stale when it comes back.
+        with_mirror(&host, |m| m.kill_replica(victim))??;
+        expected.insert("r1".to_string(), app.stamp(&mut host, &format!("rsc{n:04}-r1"))?);
+        if let Some(bd) = t.checkpoint(&mut host, app.gid, false, "r1") {
+            if bd.outcome != CheckpointOutcome::DegradedMirror {
+                t.violation(format_args!(
+                    "degraded checkpoint reported {:?}, expected DegradedMirror",
+                    bd.outcome
+                ));
+            }
         }
-        report.schedules += 1;
-    }
-    report
+
+        // Revive the victim and cut its power mid-rebuild.
+        with_mirror(&host, |m| {
+            m.revive_replica(victim)?;
+            m.install_replica_fault_plan(victim, FaultPlan::power_cut(n))
+        })??;
+        let cut_fired = host.resilver().is_err();
+        if cut_fired {
+            t.report.aborted += 1;
+        }
+
+        // Whole-machine crash with the replica half-copied.
+        with_mirror(&host, |m| m.install_replica_fault_plan(victim, FaultPlan::default()))??;
+        let mut host = host.crash_and_reboot()?;
+        t.report.crashes += 1;
+
+        // A half-copied replica must never come back authoritative.
+        let state = with_mirror(&host, |m| m.replica_state(victim))?;
+        if cut_fired && state != Some(ReplicaState::Rebuilding) {
+            t.violation(format_args!(
+                "half-copied replica rebooted as {state:?}, not rebuilding"
+            ));
+        }
+        t.verify_recovered(&mut host, app.addr, &expected);
+
+        // Finish the rebuild, then verify from the rebuilt replica alone.
+        if with_mirror(&host, |m| m.needs_resilver())? {
+            host.resilver()?;
+        }
+        verify_from_replica(t, &mut host, width, victim, app.addr, &expected)
+    })
 }
 
-/// One sweep iteration: the rebuild target dies at resilver write `n`.
-fn run_resilver_cut_iteration(n: u64, width: usize, report: &mut CampaignReport) -> Result<()> {
-    let mut host = boot_mirror_host(
-        width,
-        StoreConfig {
-            journal_blocks: 512,
-            materialize_data: true,
-            ..StoreConfig::default()
-        },
-    )?;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
-    let victim = width - 1;
+/// Pages in the replicated workload — small enough to keep the sweep
+/// fast, large enough that every epoch spans several frames.
+const REPL_SWEEP_PAGES: u64 = 6;
 
-    let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
-    let tag0 = format!("rsc{n:04}-r0");
-    for p in 0..SWEEP_PAGES {
-        let body = format!("{tag0}-p{p:04}");
-        host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-    }
-    expected.insert("r0".to_string(), format!("{tag0}-p0000").into_bytes());
-    let bd = host.checkpoint(gid, true, Some("r0"))?;
-    host.clock.advance_to(bd.durable_at);
-    report.committed += 1;
+/// Checkpoint epochs per sweep iteration.
+const REPL_SWEEP_ROUNDS: u32 = 4;
 
-    // The victim dies cleanly; the next checkpoint runs degraded, so the
-    // victim's contents are genuinely stale when it comes back.
-    with_mirror(&host, |m| m.kill_replica(victim))??;
-    let tag1 = format!("rsc{n:04}-r1");
-    for p in 0..SWEEP_PAGES {
-        let body = format!("{tag1}-p{p:04}");
-        host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-    }
-    expected.insert("r1".to_string(), format!("{tag1}-p0000").into_bytes());
-    let bd = host.checkpoint(gid, false, Some("r1"))?;
-    if bd.outcome != CheckpointOutcome::DegradedMirror {
-        report.violations.push(format!(
-            "resilver-cut {n}: degraded checkpoint reported {:?}, expected DegradedMirror",
-            bd.outcome
-        ));
-    }
-    report.committed += 1;
-    report.degraded_mirror += 1;
-    host.clock.advance_to(bd.durable_at);
-
-    // Revive the victim and cut its power mid-rebuild.
-    with_mirror(&host, |m| {
-        m.revive_replica(victim)?;
-        m.install_replica_fault_plan(victim, FaultPlan::power_cut(n))
-    })??;
-    let resilver_result = host.resilver();
-    let cut_fired = resilver_result.is_err();
-    if cut_fired {
-        report.aborted += 1;
-    }
-
-    // Whole-machine crash with the replica half-copied.
-    with_mirror(&host, |m| m.install_replica_fault_plan(victim, FaultPlan::default()))??;
-    let mut host = host.crash_and_reboot()?;
-    report.crashes += 1;
-
-    // A half-copied replica must never come back authoritative.
-    let state = with_mirror(&host, |m| m.replica_state(victim))?;
-    if cut_fired && state != Some(ReplicaState::Rebuilding) {
-        report.violations.push(format!(
-            "resilver-cut {n}: half-copied replica rebooted as {state:?}, not rebuilding"
-        ));
-    }
-    verify_recovered(&mut host, addr, &expected, n, report);
-
-    // Finish the rebuild, then verify from the rebuilt replica alone.
-    if with_mirror(&host, |m| m.needs_resilver())? {
-        host.resilver()?;
-    }
-    with_mirror(&host, |m| -> Result<()> {
-        for i in (0..width).filter(|&i| i != victim) {
-            m.kill_replica(i)?;
-        }
-        Ok(())
-    })??;
-    verify_recovered(&mut host, addr, &expected, n, report);
-    Ok(())
-}
-
-/// Arms a single scheduled power cut at the `n`-th device write.
 /// Replication kill sweep: walk the primary's death through **every
 /// frame ordinal** of a continuously replicated run.
 ///
@@ -1825,37 +1480,14 @@ fn run_resilver_cut_iteration(n: u64, width: usize, report: &mut CampaignReport)
 /// 3. **Zero corruption** — the promoted store scrubs clean and every
 ///    standby-side import applied without error.
 pub fn run_replication_kill_sweep(kills: u64, rates: LinkFaultRates) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for n in 1..=kills {
-        if let Err(e) = run_replication_kill_iteration(n, rates, &mut report) {
-            report
-                .violations
-                .push(format!("repl-kill {n}: harness error: {e}"));
-        }
-        report.schedules += 1;
-    }
-    report
+    sweep("repl-kill", 1..=kills, no_twin, |t, n, _| {
+        replication_kill(t, n, rates)
+    })
 }
 
-/// Pages in the replicated workload — small enough to keep the sweep
-/// fast, large enough that every epoch spans several frames.
-const REPL_SWEEP_PAGES: u64 = 6;
-
-/// Checkpoint epochs per sweep iteration.
-const REPL_SWEEP_ROUNDS: u32 = 4;
-
 /// One sweep iteration: kill the primary after replication frame `n`.
-fn run_replication_kill_iteration(
-    n: u64,
-    rates: LinkFaultRates,
-    report: &mut CampaignReport,
-) -> Result<()> {
-    let store_cfg = StoreConfig {
-        journal_blocks: 512,
-        materialize_data: true,
-        ..StoreConfig::default()
-    };
-    let mut host = boot_host_config(store_cfg.clone())?;
+fn replication_kill(t: &mut Trial<'_>, n: u64, rates: LinkFaultRates) -> Result<()> {
+    let mut host = boot_host(store_config(true))?;
     host.attach_standby(ReplConfig {
         seed: 0xC0FF_EE00 ^ n.wrapping_mul(GOLDEN),
         rates,
@@ -1864,12 +1496,10 @@ fn run_replication_kill_iteration(
         // degrade, so every checkpoint outcome stays Committed.
         max_lag_epochs: u64::MAX,
         kill_after_data_frames: Some(n),
-        standby_store: store_cfg,
+        standby_store: store_config(true),
         ..ReplConfig::default()
     })?;
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, REPL_SWEEP_PAGES * 4096, false)?;
-    let gid = host.persist("app", pid)?;
+    let app = App::spawn(&mut host, "app", REPL_SWEEP_PAGES)?;
 
     // epoch -> tag stamped into every page before that epoch's
     // checkpoint. The no-torn-epoch check demands the promoted state be
@@ -1878,17 +1508,14 @@ fn run_replication_kill_iteration(
     for round in 0..REPL_SWEEP_ROUNDS {
         let epoch = u64::from(round) + 1;
         let tag = format!("kill{n:04}-e{epoch:02}");
-        for p in 0..REPL_SWEEP_PAGES {
-            let body = format!("{tag}-p{p:02}");
-            host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
-        }
+        app.fill(&mut host, REPL_SWEEP_PAGES, |p| format!("{tag}-p{p:02}"))?;
         expected.insert(epoch, tag);
-        let bd = host.checkpoint(gid, round == 0, Some(&format!("e{epoch}")))?;
+        // A replicated checkpoint never loses its device: any error is
+        // a harness error, not a crash.
+        let bd = host.checkpoint(app.gid, round == 0, Some(&format!("e{epoch}")))?;
+        t.tally(bd.outcome);
         if bd.outcome.committed() {
-            report.committed += 1;
             host.clock.advance_to(bd.durable_at);
-        } else {
-            report.aborted += 1;
         }
         host.replication_pump();
         if host.replication().is_some_and(|r| r.primary_dead()) {
@@ -1901,9 +1528,7 @@ fn run_replication_kill_iteration(
         // The kill budget exceeded the run: the session must converge.
         if let Some(r) = host.replication_mut() {
             if !r.run_until_idle(100_000) {
-                report.violations.push(format!(
-                    "repl-kill {n}: surviving session failed to converge"
-                ));
+                t.violation("surviving session failed to converge");
             }
         }
     }
@@ -1914,24 +1539,21 @@ fn run_replication_kill_iteration(
     let repl = host
         .detach_standby()
         .ok_or_else(|| Error::internal("replication session vanished"))?;
-    report.crashes += 1; // the simulated loss of the primary machine
+    t.report.crashes += 1; // the simulated loss of the primary machine
 
     let (mut standby, pr) = promote_to_host(repl, "standby")?;
     if pr.apply_errors > 0 {
-        report.violations.push(format!(
-            "repl-kill {n}: {} standby import error(s)",
-            pr.apply_errors
-        ));
+        t.violation(format_args!("{} standby import error(s)", pr.apply_errors));
     }
     if pr.promoted_epoch < acked {
-        report.violations.push(format!(
-            "repl-kill {n}: promoted epoch {} below acked watermark {acked}",
+        t.violation(format_args!(
+            "promoted epoch {} below acked watermark {acked}",
             pr.promoted_epoch
         ));
     }
     if survived && pr.promoted_epoch != shipped {
-        report.violations.push(format!(
-            "repl-kill {n}: converged standby promoted {} of {shipped} epochs",
+        t.violation(format_args!(
+            "converged standby promoted {} of {shipped} epochs",
             pr.promoted_epoch
         ));
     }
@@ -1940,8 +1562,8 @@ fn run_replication_kill_iteration(
     let store = standby.sls.primary.clone();
     let problems = store.borrow().scrub();
     if !problems.is_empty() {
-        report.violations.push(format!(
-            "repl-kill {n}: promoted store scrub found {} problem(s): {}",
+        t.violation(format_args!(
+            "promoted store scrub found {} problem(s): {}",
             problems.len(),
             problems.join("; ")
         ));
@@ -1956,118 +1578,78 @@ fn run_replication_kill_iteration(
     // Invariants 1 + 2: the head restores exactly the promoted epoch's
     // state on every page — never a mix of epochs.
     let Some(tag) = expected.get(&pr.promoted_epoch) else {
-        report.violations.push(format!(
-            "repl-kill {n}: promoted unknown epoch {}",
-            pr.promoted_epoch
-        ));
+        t.violation(format_args!("promoted unknown epoch {}", pr.promoted_epoch));
         return Ok(());
     };
     let head = store
         .borrow()
         .head()
         .ok_or_else(|| Error::internal("promoted store has no head"))?;
-    let r = standby.restore(&store, head, RestoreMode::Eager)?;
-    let np = r
-        .root_pid()
-        .ok_or_else(|| Error::internal("promoted restore returned no root pid"))?;
+    let arena = restore_read(
+        &mut standby,
+        &store,
+        head,
+        app.addr,
+        (REPL_SWEEP_PAGES * 4096) as usize,
+    )?;
     let mut clean = true;
-    for p in 0..REPL_SWEEP_PAGES {
+    for (p, page) in arena.chunks(4096).enumerate() {
         let want = format!("{tag}-p{p:02}");
-        let mut buf = vec![0u8; want.len()];
-        standby.kernel.mem_read(np, addr + p * 4096, &mut buf)?;
-        if buf != want.as_bytes() {
+        if !page.starts_with(want.as_bytes()) {
             clean = false;
-            report.violations.push(format!(
-                "repl-kill {n}: torn epoch — page {p} restored {:?}, expected {:?}",
-                String::from_utf8_lossy(&buf),
+            t.violation(format_args!(
+                "torn epoch — page {p} restored {:?}, expected {:?}",
+                String::from_utf8_lossy(page.get(..want.len()).unwrap_or(page)),
                 want
             ));
         }
     }
     if clean {
-        report.restores_verified += 1;
+        t.report.restores_verified += 1;
     }
     Ok(())
-}
-
-fn arm_faults_cut(host: &mut Host, n: u64) {
-    host.sls
-        .primary
-        .borrow_mut()
-        .device_mut()
-        .install_fault_plan(FaultPlan::power_cut(n));
-}
-
-/// Checks both campaign invariants on a freshly recovered host.
-fn verify_recovered(
-    host: &mut Host,
-    addr: u64,
-    expected: &HashMap<String, Vec<u8>>,
-    idx: u64,
-    report: &mut CampaignReport,
-) {
-    let store = host.sls.primary.clone();
-
-    // Invariant 1: the recovered store is internally consistent and
-    // every surviving page matches its recorded hash.
-    let problems = store.borrow_mut().scrub();
-    if !problems.is_empty() {
-        report.violations.push(format!(
-            "schedule {idx}: scrub found {} problem(s) after recovery: {}",
-            problems.len(),
-            problems.join("; ")
-        ));
-    }
-
-    // Invariant 2: every surviving checkpoint restores to exactly the
-    // state recorded at its barrier.
-    let survivors: Vec<(CkptId, String)> = store
-        .borrow()
-        .checkpoints()
-        .iter()
-        .filter_map(|c| c.name.clone().map(|n| (c.id, n)))
-        .collect();
-    for (id, name) in survivors {
-        let Some(want) = expected.get(&name) else {
-            // Internal checkpoints (e.g. SLSFS bookkeeping) are not part
-            // of the workload; scrub already validated their contents.
-            continue;
-        };
-        let restored = match host.restore(&store, id, RestoreMode::Eager) {
-            Ok(r) => r,
-            Err(e) => {
-                report.violations.push(format!(
-                    "schedule {idx}: surviving checkpoint {name} failed to restore: {e}"
-                ));
-                continue;
-            }
-        };
-        let Some(np) = restored.root_pid() else {
-            report.violations.push(format!(
-                "schedule {idx}: checkpoint {name} restored without a root pid"
-            ));
-            continue;
-        };
-        let mut buf = vec![0u8; want.len()];
-        match host.kernel.mem_read(np, addr, &mut buf) {
-            Ok(()) if &buf == want => report.restores_verified += 1,
-            Ok(()) => report.violations.push(format!(
-                "schedule {idx}: checkpoint {name} restored {:?}, expected {:?}",
-                String::from_utf8_lossy(&buf),
-                String::from_utf8_lossy(want)
-            )),
-            Err(e) => report.violations.push(format!(
-                "schedule {idx}: reading restored memory of {name} failed: {e}"
-            )),
-        }
-        let _ = host.kernel.exit(np, 0);
-        host.kernel.procs.remove(&np);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sweep_reports_a_failing_ordinal_and_keeps_going() {
+        let mut ran = Vec::new();
+        let report = sweep("probe", 1..=3u64, no_twin, |_, n, _| {
+            ran.push(n);
+            if n == 2 {
+                return Err(Error::internal("boom"));
+            }
+            Ok(())
+        });
+        assert_eq!(ran, [1, 2, 3], "later ordinals still run");
+        assert_eq!(report.schedules, 3, "the failing ordinal still counts");
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        let v = report.violations.first().map(String::as_str).unwrap_or_default();
+        assert!(
+            v.starts_with("probe 2: harness error: ") && v.contains("boom"),
+            "{v}"
+        );
+    }
+
+    #[test]
+    fn sweep_without_its_twin_runs_no_ordinal() {
+        let report = sweep(
+            "probe",
+            1..=3u64,
+            |_| Err::<(), _>(Error::internal("no twin")),
+            |_, _, _| panic!("an ordinal ran without its twin"),
+        );
+        assert_eq!(report.schedules, 0);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(
+            report.violations.iter().all(|v| v.starts_with("probe twin: harness error: ")),
+            "{:?}",
+            report.violations
+        );
+    }
 
     #[test]
     fn short_campaign_passes_both_invariants() {
@@ -2165,6 +1747,15 @@ mod tests {
         assert!(
             report.committed > 0,
             "healthy tenants must keep committing throughout"
+        );
+        assert!(
+            report.degraded > 0,
+            "a damaged or aborted base must degrade the poisoned tenant's next cycle to full"
+        );
+        assert!(
+            report.restores_verified >= 81,
+            "per plan: 3 healthy tenants x {FD_ROUNDS} rounds plus the poisoned \
+             tenant's 3 required checkpoints, each digest-equal to the twin"
         );
     }
 

@@ -6,7 +6,7 @@
 //!
 //! ```toml
 //! [locks]
-//! order = ["group_barrier", "group_table", "metrics"]   # outermost first
+//! order = ["group_barrier", "store_commit", "metrics"]   # outermost first
 //! [locks.sites]
 //! group_barrier = "group_barrier"
 //! ```

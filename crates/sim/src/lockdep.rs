@@ -20,9 +20,10 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Ranks for the declared hierarchy, outermost first. These mirror the
-/// index of each name in `lint-allow.toml [locks] order`; `aurora-lint`
-/// cross-checks the static nesting against the same table.
+// Ranks for the declared hierarchy, outermost first. These mirror the
+// index of each name in `lint-allow.toml [locks] order`; `aurora-lint`
+// cross-checks the static nesting against the same table.
+
 /// Rank of the fleet scheduler's barrier/commit-lock registry. Held
 /// only long enough to look up (or mint) a group's barrier or a
 /// store's commit lock, never across a capture or a flush — but the
@@ -48,31 +49,23 @@ pub const RANK_GROUP_BARRIER: u32 = 2;
 /// groups still sees exactly one `seal → barrier → flip` sequence at a
 /// time even when their cycles overlap.
 pub const RANK_STORE_COMMIT: u32 = 3;
-/// Rank of the persistence-group table.
-pub const RANK_GROUP_TABLE: u32 = 4;
 /// Rank of the parallel flush pipeline's shard-result collector. The
 /// driving thread holds its group's `group_barrier` while it gathers
 /// hashed shards, so this must rank inside the barrier; workers take
 /// it with nothing else held.
-pub const RANK_FLUSH_SHARD: u32 = 5;
+pub const RANK_FLUSH_SHARD: u32 = 4;
 /// Rank of the parallel restore pipeline's shard-result collector.
 /// Mirrors `flush_shard`: the driving thread serializes batched
 /// restores on the target group's `group_barrier`, workers take this
 /// with nothing held.
-pub const RANK_RESTORE_SHARD: u32 = 6;
-/// Rank of per-store metadata.
-pub const RANK_STORE_META: u32 = 7;
+pub const RANK_RESTORE_SHARD: u32 = 5;
 /// Rank of the object store's shared page cache. The restore read
-/// pipeline takes it while the barrier is held; nothing below it but
-/// the device queue and metrics may nest inside.
-pub const RANK_PAGE_CACHE: u32 = 8;
-/// Rank of the journal append buffer.
-pub const RANK_JOURNAL_BUF: u32 = 9;
-/// Rank of a device submission queue.
-pub const RANK_DEV_QUEUE: u32 = 10;
+/// pipeline takes it while the barrier is held; nothing but metrics
+/// may nest inside.
+pub const RANK_PAGE_CACHE: u32 = 6;
 /// Rank of the global metrics registry (innermost: any path may record
 /// counters while holding anything else).
-pub const RANK_METRICS: u32 = 11;
+pub const RANK_METRICS: u32 = 7;
 
 /// A mutex that participates in lock-order verification.
 pub struct OrderedMutex<T> {
