@@ -524,28 +524,37 @@ impl KvClient {
     }
 
     /// Receives one framed reply: `Ok(Some(value))` for a hit, `Ok(None)`
-    /// for an ack/miss, `WouldBlock` if nothing arrived (held by external
-    /// consistency or not yet served).
+    /// for an ack/miss, `WouldBlock` until a whole reply has arrived (held
+    /// by external consistency, not yet served, or still partial: a large
+    /// reply spans several stream reads, and the part already read stays
+    /// buffered).
     pub fn recv(&mut self, host: &mut Host) -> Result<Option<Vec<u8>>> {
-        if self.buf.is_empty() {
+        let used = loop {
+            if let Some(used) = whole_frame(&self.buf) {
+                break used;
+            }
             let chunk = host.kernel.read(self.pid, self.fd, 64 * 1024)?;
             if chunk.is_empty() {
                 return Err(Error::broken_pipe("server closed"));
             }
             self.buf.extend_from_slice(&chunk);
-        }
-        let (reply, used) = {
-            let mut d = Decoder::new(&self.buf);
-            let reply = d.bytes()?.to_vec();
-            (reply, d.position())
         };
-        self.buf.drain(..used);
-        let mut r = Decoder::new(&reply);
+        let frame: Vec<u8> = self.buf.drain(..used).collect();
+        let mut r = Decoder::new(Decoder::new(&frame).bytes()?);
         Ok(match r.u8()? {
             1 => Some(r.bytes()?.to_vec()),
             _ => None,
         })
     }
+}
+
+/// Length of the whole length-prefixed frame at the start of `buf`, or
+/// `None` while only part of it has arrived.
+fn whole_frame(buf: &[u8]) -> Option<usize> {
+    let mut d = Decoder::new(buf);
+    let len = usize::try_from(d.varint().ok()?).ok()?;
+    let end = d.position().checked_add(len)?;
+    (end <= buf.len()).then_some(end)
 }
 
 #[cfg(test)]
@@ -630,6 +639,39 @@ mod socket_tests {
         assert_eq!(server.serve_conn(&mut host, conn).unwrap(), 2);
         assert_eq!(client.recv(&mut host).unwrap(), None); // SET ack
         assert_eq!(client.recv(&mut host).unwrap().unwrap(), b"v");
+    }
+
+    #[test]
+    fn reply_split_across_stream_reads_is_reassembled() {
+        let mut host = boot();
+        let mut server = KvServer::start(&mut host, PersistMode::None, 8 << 20, 256).unwrap();
+        let lfd = server.listen(&mut host, 6379).unwrap();
+        let mut client = KvClient::connect(&mut host, 6379).unwrap();
+        let conn = server.accept(&mut host, lfd).unwrap();
+
+        // A 100 KiB value: its reply crosses the client's 64 KiB read.
+        let value: Vec<u8> = (0..100 * 1024u32).map(|i| (i % 253) as u8).collect();
+        server
+            .exec(&mut host, &KvOp::Set(b"big".to_vec(), value.clone()))
+            .unwrap();
+        client.send(&mut host, &KvOp::Get(b"big".to_vec())).unwrap();
+        assert_eq!(server.serve_conn(&mut host, conn).unwrap(), 1);
+        assert_eq!(client.recv(&mut host).unwrap().unwrap(), value);
+
+        // The same reply arriving in two writes: the first part stays
+        // buffered behind `WouldBlock`, and the rest completes it.
+        let mut body = Encoder::new();
+        body.u8(1);
+        body.bytes(&value);
+        let mut framed = Encoder::new();
+        framed.bytes(&body.into_vec());
+        let framed = framed.into_vec();
+        let (head, tail) = framed.split_at(70_000);
+        host.kernel.write(server.pid, conn, head).unwrap();
+        let err = client.recv(&mut host).unwrap_err();
+        assert_eq!(err.kind(), aurora_sim::error::ErrorKind::WouldBlock, "{err}");
+        host.kernel.write(server.pid, conn, tail).unwrap();
+        assert_eq!(client.recv(&mut host).unwrap().unwrap(), value);
     }
 
     #[test]

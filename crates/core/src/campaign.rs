@@ -40,7 +40,7 @@ use aurora_hw::{
 };
 use aurora_objstore::{CkptId, ObjectStore, StoreConfig};
 use aurora_posix::Pid;
-use aurora_sim::error::{Error, Result};
+use aurora_sim::error::{Error, ErrorKind, Result};
 use aurora_sim::hash::fnv64;
 use aurora_sim::time::SimDuration;
 use aurora_sim::SimClock;
@@ -320,7 +320,7 @@ impl Trial<'_> {
                 // of the workload; scrub already validated their contents.
                 continue;
             };
-            match restore_read(host, &store, id, addr, want.len()) {
+            match restore_read(host, &store, id, RestoreMode::Eager, addr, want.len()) {
                 Ok(got) if &got == want => self.report.restores_verified += 1,
                 Ok(got) => self.violation(format_args!(
                     "checkpoint {name} restored {:?}, expected {:?}",
@@ -495,17 +495,18 @@ fn shared_arena<'a>(apps: impl IntoIterator<Item = &'a App>) -> Result<u64> {
     Ok(addr)
 }
 
-/// Restores checkpoint `id` from `store`, reads `len` bytes of the
-/// restored root process's memory at `addr`, and tears the process
-/// back down.
+/// Restores checkpoint `id` from `store` in `mode`, reads `len` bytes
+/// of the restored root process's memory at `addr`, and tears the
+/// process back down.
 fn restore_read(
     host: &mut Host,
     store: &StoreHandle,
     id: CkptId,
+    mode: RestoreMode,
     addr: u64,
     len: usize,
 ) -> Result<Vec<u8>> {
-    let r = host.restore(store, id, RestoreMode::Eager)?;
+    let r = host.restore(store, id, mode)?;
     let np = r
         .root_pid()
         .ok_or_else(|| Error::internal("restore returned no root pid"))?;
@@ -541,7 +542,8 @@ fn arena_digests(
         .filter(|(_, name)| keep(name))
         .map(|(id, name)| {
             let bytes = (DELTA_SWEEP_PAGES * 4096) as usize;
-            let digest = restore_read(host, store, id, addr, bytes).map(|b| fnv64(&b));
+            let digest =
+                restore_read(host, store, id, RestoreMode::Eager, addr, bytes).map(|b| fnv64(&b));
             (name, digest)
         })
         .collect()
@@ -1367,7 +1369,7 @@ pub fn run_mirror_restore_failover_sweep(cuts: u64, width: usize) -> CampaignRep
             m.install_replica_fault_plan(0, FaultPlan::power_cut_on_read(n))
         })??;
         let store = host.sls.primary.clone();
-        match restore_read(&mut host, &store, ckpt, app.addr, want.len()) {
+        match restore_read(&mut host, &store, ckpt, RestoreMode::Eager, app.addr, want.len()) {
             Ok(got) if got == want => {}
             Ok(_) => t.violation("failover restore returned torn memory"),
             Err(e) => {
@@ -1445,6 +1447,92 @@ pub fn run_resilver_power_cut_sweep(cuts: u64, width: usize) -> CampaignReport {
             host.resilver()?;
         }
         verify_from_replica(t, &mut host, width, victim, app.addr, &expected)
+    })
+}
+
+/// Lazy-restore corruption sweep.
+///
+/// Iteration `n` commits a [`SWEEP_PAGES`]-page baseline while the
+/// platter rots exactly one image block — data block `n - 1`, on the
+/// preferred replica when `mirrored` — then drops every cached page and
+/// lazily restores the baseline, touching every page, so each page
+/// arrives through a fault's single-block read. With a mirror the
+/// faults must heal the block from the twin: the arena digests equal to
+/// a fault-free twin run, and the once-rotten replica alone then
+/// verifies. Without one, the touch must fail with a typed `Corrupt`:
+/// wrong bytes are never handed back, and the store reports the one
+/// rotten block and nothing else.
+pub fn run_lazy_corruption_sweep(blocks: u64, mirrored: bool) -> CampaignReport {
+    let label = if mirrored { "lazy-rot-mirror" } else { "lazy-rot" };
+    let arena_bytes = (SWEEP_PAGES * 4096) as usize;
+    // Boots the sweep's host and commits the baseline while data block
+    // `rot` (if any) rots on the preferred copy.
+    let baseline = |t: &mut Trial<'_>, rot: Option<u64>| -> Result<(Host, App, CkptId, Expected)> {
+        let mut host = if mirrored {
+            boot_mirror_host(2)?
+        } else {
+            boot_host(store_config(true))?
+        };
+        let app = App::spawn(&mut host, "app", SWEEP_PAGES)?;
+        let expected = Expected::from([("r0".to_string(), app.stamp(&mut host, "lazy-rot")?)]);
+        let ds = host.sls.primary.borrow().data_start();
+        let arm_preferred = |host: &Host, plan: FaultPlan| -> Result<()> {
+            if mirrored {
+                with_mirror(host, |m| m.install_replica_fault_plan(0, plan))?
+            } else {
+                arm(host, plan);
+                Ok(())
+            }
+        };
+        arm_preferred(
+            &host,
+            rot.map_or_else(FaultPlan::default, |b| {
+                FaultPlan::corrupt_blocks(ds + b, ds + b + 1, 100, 3)
+            }),
+        )?;
+        let ckpt = t.baseline(&mut host, app.gid)?;
+        arm_preferred(&host, FaultPlan::default())?;
+        host.sls.primary.borrow_mut().drop_caches()?;
+        Ok((host, app, ckpt, expected))
+    };
+    let twin = |t: &mut Trial<'_>| -> Result<u64> {
+        let (mut host, app, ckpt, _) = baseline(t, None)?;
+        let store = host.sls.primary.clone();
+        restore_read(&mut host, &store, ckpt, RestoreMode::Lazy, app.addr, arena_bytes)
+            .map(|b| fnv64(&b))
+    };
+    sweep(label, 1..=blocks, twin, |t, n, &want| {
+        let (mut host, app, ckpt, expected) = baseline(t, Some(n - 1))?;
+        let store = host.sls.primary.clone();
+        let read = restore_read(&mut host, &store, ckpt, RestoreMode::Lazy, app.addr, arena_bytes);
+        if !mirrored {
+            match read {
+                Err(e) if e.kind() == ErrorKind::Corrupt => t.report.aborted += 1,
+                Err(e) => t.violation(format_args!("fault failed untyped: {e}")),
+                Ok(b) if fnv64(&b) == want => t.violation("fault missed the rotten block"),
+                Ok(_) => t.violation("fault served wrong bytes"),
+            }
+            let problems = store.borrow_mut().scrub();
+            if problems.len() != 1 {
+                t.violation(format_args!(
+                    "scrub found {} problem(s), expected the rotten block alone: {}",
+                    problems.len(),
+                    problems.join("; ")
+                ));
+            }
+            return Ok(());
+        }
+        match read {
+            Ok(b) if fnv64(&b) == want => t.report.restores_verified += 1,
+            Ok(_) => t.violation("lazy restore diverges from the fault-free twin"),
+            Err(e) => t.violation(format_args!("lazy restore failed despite a twin: {e}")),
+        }
+        let repairs = with_mirror(&host, |m| m.mirror_stats().read_repairs)?;
+        if repairs == 0 {
+            t.violation("the rotten block was never repaired");
+        }
+        t.report.read_repairs += repairs;
+        verify_from_replica(t, &mut host, 2, 0, app.addr, &expected)
     })
 }
 
@@ -1589,6 +1677,7 @@ fn replication_kill(t: &mut Trial<'_>, n: u64, rates: LinkFaultRates) -> Result<
         &mut standby,
         &store,
         head,
+        RestoreMode::Eager,
         app.addr,
         (REPL_SWEEP_PAGES * 4096) as usize,
     )?;

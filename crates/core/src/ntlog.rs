@@ -172,7 +172,7 @@ impl Host {
         let log_id = self.log_id_of(pid, fd)?;
         let state = self.ntlog_state(gid, log_id)?;
         let oid = aurora_objstore::ObjId(state.oid);
-        let store = self.sls.primary.borrow_mut();
+        let mut store = self.sls.primary.borrow_mut();
         let mut out = Vec::with_capacity(state.len as usize);
         let mut pos = 0u64;
         while pos < state.len {

@@ -440,9 +440,9 @@ impl Replicator {
         let epoch = self.shipped_epoch + 1;
         let full = epoch == 1;
         let payload = if full {
-            store.borrow().export_checkpoint(ckpt)?
+            store.borrow_mut().export_checkpoint(ckpt)?
         } else {
-            store.borrow().export_delta(ckpt)?
+            store.borrow_mut().export_delta(ckpt)?
         };
         // The epoch exists as soon as shipping starts: a kill mid-epoch
         // counts it as lost (conservative RPO accounting).

@@ -89,13 +89,15 @@ pub struct StoreStats {
     pub extents_coalesced: u64,
     /// Blocks carried by those extents.
     pub blocks_coalesced: u64,
-    /// Vectored extent reads issued by the batched restore path.
+    /// Extent reads issued on read-cache misses (a single-page read that
+    /// misses is a one-block extent).
     pub read_extents_coalesced: u64,
     /// Blocks carried by those extent reads.
     pub read_blocks_coalesced: u64,
-    /// Batched-read probes served by the bounded read cache.
+    /// Block reads served by the bounded read cache: batched restores,
+    /// lazy faults and every other single-page read.
     pub read_cache_hits: u64,
-    /// Batched-read probes that charged device time.
+    /// Block reads that charged device time.
     pub read_cache_misses: u64,
     /// Hits served through the content index: the probed block's bytes
     /// were already resident under a different block id.
@@ -452,10 +454,10 @@ enum ReadProbe {
 }
 
 /// Page contents plus the dedup index and the bounded read cache,
-/// behind one lock so the read paths can stay `&self`: a cache fill is
-/// not a logical mutation. The lock carries lockdep rank `page_cache`
-/// because batched restores touch it from inside the checkpoint
-/// barrier while flush workers run.
+/// behind one lock so the `&self` paths (dedup lookups, scrub) can
+/// reach them. The lock carries lockdep rank `page_cache` because
+/// batched restores touch it from inside the checkpoint barrier while
+/// flush workers run.
 struct PageCache {
     /// Authoritative page contents by block (compact representation).
     data: HashMap<u64, PageData>,
@@ -1201,7 +1203,7 @@ impl ObjectStore {
     }
 
     /// Materializes one resolved page reference.
-    pub(crate) fn materialize_ref(&self, r: PageRef) -> Result<PageData> {
+    pub(crate) fn materialize_ref(&mut self, r: PageRef) -> Result<PageData> {
         match r {
             PageRef::Full(ptr) => self.fetch_block(ptr),
             PageRef::Delta(lsn) => {
@@ -1219,14 +1221,15 @@ impl ObjectStore {
     }
 
     /// Reads a page from the live state, charging device time.
-    pub fn read_page(&self, oid: ObjId, idx: u64) -> Result<Option<PageData>> {
+    pub fn read_page(&mut self, oid: ObjId, idx: u64) -> Result<Option<PageData>> {
         let obj = self
             .live
             .get(&oid)
             .ok_or_else(|| Error::not_found(format!("object {}", oid.0)))?;
+        let (head, full) = (obj.deltas.get(&idx).copied(), obj.map.get(&idx).copied());
         // A record staged this epoch is the newest state: its chain (if
         // any) replays first, then its own extents.
-        if let Some(rec) = self.pending_deltas.get(&(oid, idx)) {
+        if let Some(rec) = self.pending_deltas.get(&(oid, idx)).cloned() {
             let base_page = self.fetch_block(rec.base)?;
             let chained = match rec.prev {
                 Some(prev) => self.delta.materialize(&base_page, prev)?,
@@ -1234,18 +1237,18 @@ impl ObjectStore {
             };
             return Ok(Some(rec.apply(&chained)));
         }
-        if let Some(&head) = obj.deltas.get(&idx) {
+        if let Some(head) = head {
             return self.materialize_ref(PageRef::Delta(head)).map(Some);
         }
-        match obj.map.get(&idx) {
-            Some(&p) => self.fetch_block(p).map(Some),
+        match full {
+            Some(p) => self.fetch_block(p).map(Some),
             None => Ok(None),
         }
     }
 
     /// Reads a page as of a checkpoint, charging device time. Pages
     /// under a redo chain are materialized (base image + chain replay).
-    pub fn read_page_at(&self, ckpt: CkptId, oid: ObjId, idx: u64) -> Result<Option<PageData>> {
+    pub fn read_page_at(&mut self, ckpt: CkptId, oid: ObjId, idx: u64) -> Result<Option<PageData>> {
         match checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx) {
             Some(r) => self.materialize_ref(r).map(Some),
             None => Ok(None),
@@ -1265,36 +1268,16 @@ impl ObjectStore {
         checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx).is_some()
     }
 
-    fn fetch_block(&self, ptr: BlockPtr) -> Result<PageData> {
-        // One lock hold covers lookup, the medium fill-in, and the
-        // read-cache touch, so a concurrent batched restore can never
-        // observe a half-installed block.
-        let mut cache = self.cache.lock();
-        if let Some(page) = cache.data.get(&ptr.0).cloned() {
-            let hash = cache.block_hash.get(&ptr.0).copied();
-            cache.read.admit(ptr.0, hash);
-            drop(cache);
-            self.dev.borrow_mut().charge_read_timing(BLOCK_SIZE as u64)?;
-            return Ok(page);
-        }
-        if self.config.materialize_data {
-            let lba = self.sb.data_start() + ptr.0;
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            self.dev.borrow_mut().read(lba, &mut buf)?;
-            let page = PageData::from_bytes(&buf);
-            let hash = if self.config.dedup {
-                Some(page.content_hash())
-            } else {
-                None
-            };
-            cache.install(ptr, &page, hash);
-            cache.read.admit(ptr.0, hash);
-            return Ok(page);
-        }
-        Err(Error::corrupt(format!(
-            "block {} has no recoverable contents",
-            ptr.0
-        )))
+    /// Reads one block: the one-block case of the extent read, so a
+    /// single page goes through the same cache probe, hash verification,
+    /// re-read and read-repair as a batched restore (see
+    /// [`ObjectStore::execute_read_plan`]).
+    fn fetch_block(&mut self, ptr: BlockPtr) -> Result<PageData> {
+        let mut out = ReadOutcome::default();
+        self.read_extent(&[ptr.0], &mut out)?;
+        out.pages
+            .remove(&ptr.0)
+            .ok_or_else(|| Error::internal(format!("block {} missing from its own read", ptr.0)))
     }
 
     /// Resolves a set of `(object, page)` targets as of a checkpoint
@@ -1353,8 +1336,9 @@ impl ObjectStore {
     /// charges one vectored read — a single access latency amortized
     /// over the run. Materialized reads are verified against the
     /// recorded content hashes; damaged bytes get exactly one re-read
-    /// (transient electronics) before the plan aborts with
-    /// `ErrorKind::Corrupt`, leaving the store intact.
+    /// (transient electronics), then read-repair from a mirror twin,
+    /// before the plan aborts with `ErrorKind::Corrupt`, leaving the
+    /// store intact. Only verified bytes enter the read cache.
     pub fn execute_read_plan(&mut self, plan: &ReadPlan) -> Result<ReadOutcome> {
         let mut out = ReadOutcome::default();
         for &(off, len) in &plan.extents {
@@ -1364,40 +1348,43 @@ impl ObjectStore {
             let run = run.to_vec();
             self.read_extent(&run, &mut out)?;
         }
-        self.stats.read_cache_hits += out.cache_hits;
-        self.stats.read_cache_misses += out.cache_misses;
-        self.stats.read_cache_content_hits += out.content_hits;
         Ok(out)
     }
 
-    /// Reads one extent run (adjacent ascending blocks) for
-    /// [`ObjectStore::execute_read_plan`].
+    /// Reads one extent run (adjacent ascending blocks): the store's one
+    /// verified block read, behind both [`ObjectStore::execute_read_plan`]
+    /// and every single-page read. Probes are counted in
+    /// [`StoreStats`] as well as in `out`.
     fn read_extent(&mut self, run: &[u64], out: &mut ReadOutcome) -> Result<()> {
         let Some(&start) = run.first() else {
             return Ok(());
         };
-        let mut missed = false;
+        let (mut hits, mut content_hits, mut misses) = (0u64, 0u64, 0u64);
         {
             let mut cache = self.cache.lock();
             for &b in run {
-                match cache.probe_read(b) {
-                    ReadProbe::Hit(page) => {
-                        out.cache_hits += 1;
-                        out.pages.insert(b, page);
-                    }
+                let page = match cache.probe_read(b) {
+                    ReadProbe::Hit(page) => page,
                     ReadProbe::ContentHit(page) => {
-                        out.cache_hits += 1;
-                        out.content_hits += 1;
-                        out.pages.insert(b, page);
+                        content_hits += 1;
+                        page
                     }
                     ReadProbe::Miss => {
-                        out.cache_misses += 1;
-                        missed = true;
+                        misses += 1;
+                        continue;
                     }
-                }
+                };
+                hits += 1;
+                out.pages.insert(b, page);
             }
         }
-        if !missed {
+        out.cache_hits += hits;
+        out.content_hits += content_hits;
+        out.cache_misses += misses;
+        self.stats.read_cache_hits += hits;
+        self.stats.read_cache_content_hits += content_hits;
+        self.stats.read_cache_misses += misses;
+        if misses == 0 {
             let dur = SimDuration::from_nanos(RESTORE_CACHE_HIT_NS * run.len() as u64);
             self.dev.borrow().clock().charge(dur);
             return Ok(());
@@ -1416,7 +1403,7 @@ impl ObjectStore {
                 // electronics the benefit of the doubt; damaged media
                 // re-reads identically, and then a mirror twin gets a
                 // chance to heal the damaged copy (read-repair) before
-                // the restore aborts with the committed store untouched.
+                // the read fails with the committed store untouched.
                 let mut again = vec![vec![0u8; BLOCK_SIZE]; run.len()];
                 self.dev.get_mut().read_blocks(lba, &mut again)?;
                 if self.extent_hash_mismatch(run, &again)

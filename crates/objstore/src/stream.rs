@@ -54,7 +54,7 @@ impl ObjectStore {
     /// Exports checkpoint `ckpt` as a self-contained byte stream.
     ///
     /// Charges device reads for every exported page.
-    pub fn export_checkpoint(&self, ckpt: CkptId) -> Result<Vec<u8>> {
+    pub fn export_checkpoint(&mut self, ckpt: CkptId) -> Result<Vec<u8>> {
         self.export_checkpoint_filtered(ckpt, |_| true, |_| true)
     }
 
@@ -62,7 +62,7 @@ impl ObjectStore {
     /// filters accept — how the SLS ships *one application* (its group's
     /// namespace) rather than the whole machine's history.
     pub fn export_checkpoint_filtered(
-        &self,
+        &mut self,
         ckpt: CkptId,
         keep_oid: impl Fn(u64) -> bool,
         keep_blob: impl Fn(&str) -> bool,
@@ -137,7 +137,7 @@ impl ObjectStore {
     /// Exports only checkpoint `ckpt`'s *delta* (its own pages, blobs and
     /// object births/deaths) — the unit of live-migration rounds, where
     /// the receiver already holds the parent chain.
-    pub fn export_delta(&self, ckpt: CkptId) -> Result<Vec<u8>> {
+    pub fn export_delta(&mut self, ckpt: CkptId) -> Result<Vec<u8>> {
         let (new_objects, deleted, pages, blobs, name) = {
             let ck = self.checkpoint(ckpt)?;
             // A key present in both maps is a delta head over an

@@ -84,7 +84,7 @@ fn uncommitted_state_lost_on_recovery() {
     s.write_page(ObjId(1), 0, &page(2)).unwrap();
     s.create_object(ObjId(2), 4).unwrap();
 
-    let s = s.recover().unwrap();
+    let mut s = s.recover().unwrap();
     assert!(
         s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(1)),
         "recovered to committed contents"
@@ -124,7 +124,7 @@ fn power_cut_during_commit_preserves_previous_checkpoint() {
             // The cut landed after the commit became durable; fine.
             continue;
         }
-        let s = s.recover().unwrap();
+        let mut s = s.recover().unwrap();
         assert_eq!(s.head(), Some(c1), "cut at write {cut_at}");
         assert!(s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(1)));
         assert!(s.checkpoint_by_name("torn").is_none());
@@ -179,7 +179,7 @@ fn gc_in_place_keeps_newer_checkpoints_readable() {
     assert!(s.read_page_at(c3, ObjId(1), 1).unwrap().unwrap().content_eq(&PageData::Seeded(101)));
 
     // GC also survives recovery (the delete is journaled).
-    let s = s.recover().unwrap();
+    let mut s = s.recover().unwrap();
     assert_eq!(s.checkpoints().len(), 2);
     assert!(s.read_page_at(c3, ObjId(1), 0).unwrap().unwrap().content_eq(&PageData::Seeded(100)));
 }
@@ -275,7 +275,7 @@ fn journal_compaction_preserves_state() {
     }
     assert!(s.stats.compactions > 0, "compaction exercised");
     let s2 = s.recover().unwrap();
-    let s2 = s2;
+    let mut s2 = s2;
     assert!(s2.read_page(ObjId(1), 1).unwrap().unwrap().content_eq(&PageData::Seeded(49)));
 }
 
@@ -632,7 +632,10 @@ fn read_plan_coalesces_extents_and_dedups_shared_blocks() {
         warm_elapsed < cold_elapsed,
         "warm {warm_elapsed:?} must undercut cold {cold_elapsed:?}"
     );
-    assert_eq!(s.stats.read_cache_hits, 100);
+    // The serial cross-check above reads single blocks through the same
+    // probe: its 101 reads of freshly fetched blocks (the dedup-shared
+    // block twice) count as hits too.
+    assert_eq!(s.stats.read_cache_hits, 201);
     assert_eq!(s.stats.read_cache_misses, 100);
 }
 

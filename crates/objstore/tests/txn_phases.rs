@@ -84,7 +84,7 @@ fn every_commit_write_ordinal_is_a_valid_cut_point() {
                 assert_eq!(s.head(), Some(c2), "durable commit survives, cut {cut}");
             }
             Err(_) => {
-                let s = s.recover().unwrap();
+                let mut s = s.recover().unwrap();
                 assert_eq!(s.head(), Some(c1), "old head after cut at write {cut}");
                 assert!(
                     s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(1)),
@@ -121,7 +121,7 @@ fn cut_on_superblock_flip_then_redo() {
     // commit; the journal tail left by the cut run is overwritten.
     s.write_page(ObjId(1), 0, &page(2)).unwrap();
     let (c2, _) = s.commit(Some("redo")).unwrap();
-    let s = s.recover().unwrap();
+    let mut s = s.recover().unwrap();
     assert_eq!(s.head(), Some(c2), "redone flip is durable");
     assert!(s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(2)));
     assert!(s.fsck().is_empty(), "{:?}", s.fsck());
@@ -154,7 +154,7 @@ fn transient_flip_failure_retries_at_same_journal_offset() {
     );
 
     // And the retried commit is genuinely durable.
-    let s = faulty.recover().unwrap();
+    let mut s = faulty.recover().unwrap();
     assert_eq!(s.head(), Some(c2));
     assert!(s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(2)));
 }

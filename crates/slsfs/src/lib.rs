@@ -482,7 +482,7 @@ impl Filesystem for SlsFs {
         let end = (off + len as u64).min(size);
         let mut out = Vec::with_capacity((end - off) as usize);
         let mut pos = off;
-        let store = self.store.borrow_mut();
+        let mut store = self.store.borrow_mut();
         while pos < end {
             let page_idx = pos / PAGE_SIZE as u64;
             let page_off = (pos % PAGE_SIZE as u64) as usize;

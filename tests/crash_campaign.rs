@@ -9,7 +9,7 @@
 
 use aurora::core::campaign::{
     run_campaign, run_compact_power_cut_sweep, run_delta_power_cut_sweep,
-    run_fleet_power_cut_sweep, schedules_from_env, CampaignConfig,
+    run_fleet_power_cut_sweep, run_lazy_corruption_sweep, schedules_from_env, CampaignConfig,
 };
 use aurora::hw::FaultRates;
 
@@ -109,6 +109,35 @@ fn campaign_fleet_interleave_power_cut_sweep() {
         "no cut landed inside the interleaved cycles"
     );
     assert!(report.restores_verified > 0);
+}
+
+#[test]
+fn campaign_lazy_restore_corruption_sweep() {
+    // Rots one image block per ordinal — every block of the 96-page
+    // image in turn — and lazily restores over it, so the damage meets a
+    // fault's single-block read. A mirror heals every block and the
+    // pages match a fault-free twin; without one every fault fails
+    // typed and no wrong byte is served.
+    let blocks = 96;
+    let healed = run_lazy_corruption_sweep(blocks, true);
+    assert!(
+        healed.passed(),
+        "mirrored lazy-corruption violations:\n{}",
+        healed.violations.join("\n")
+    );
+    assert_eq!(healed.schedules, blocks);
+    assert_eq!(healed.restores_verified, 2 * blocks, "twin match + replica-0 verify");
+    assert!(healed.read_repairs >= blocks, "every rotten block healed");
+
+    let refused = run_lazy_corruption_sweep(blocks, false);
+    assert!(
+        refused.passed(),
+        "unmirrored lazy-corruption violations:\n{}",
+        refused.violations.join("\n")
+    );
+    assert_eq!(refused.schedules, blocks);
+    assert_eq!(refused.aborted, blocks, "every rotten block refused typed");
+    assert_eq!(refused.restores_verified, 0);
 }
 
 #[test]

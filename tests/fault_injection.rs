@@ -289,7 +289,7 @@ fn power_cut_sweep_during_journal_gc() {
             .unwrap();
         let _ = s.commit(Some(&format!("c{}", trigger - 1)));
 
-        let s = s.recover().unwrap();
+        let mut s = s.recover().unwrap();
         let problems = s.scrub();
         assert!(
             problems.is_empty(),
@@ -405,13 +405,12 @@ fn corrupted_superblock_falls_back_to_the_other_slot() {
     );
 }
 
-/// Boots a host on a materialized store (page bytes really live on the
-/// device) with a wide workload committed, ready for restore-path fault
-/// injection. Returns (host, addr, ckpt).
-fn boot_materialized_with_baseline() -> (Host, u64, aurora::objstore::CkptId) {
+/// Boots a host on a materialized store: page bytes really live on the
+/// device.
+fn boot_materialized() -> Host {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", 64 * 1024));
-    let mut host = Host::boot(
+    Host::boot(
         "read-fault",
         dev,
         StoreConfig {
@@ -420,7 +419,13 @@ fn boot_materialized_with_baseline() -> (Host, u64, aurora::objstore::CkptId) {
             ..StoreConfig::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Boots a materialized host with a wide workload committed, ready for
+/// restore-path fault injection. Returns (host, addr, ckpt).
+fn boot_materialized_with_baseline() -> (Host, u64, aurora::objstore::CkptId) {
+    let mut host = boot_materialized();
     let pid = host.kernel.spawn("app");
     let pages = 96u64;
     let addr = host.kernel.mmap_anon(pid, pages * 4096, false).unwrap();
@@ -706,4 +711,160 @@ fn read_corruption_aborts_restore_and_store_survives() {
     let mut buf = [0u8; 14];
     host.kernel.mem_read(np, addr, &mut buf).unwrap();
     assert_eq!(&buf, b"read-fault-p00");
+}
+
+// ---------------------------------------------------------------------------
+// Lazy faults and SLSFS reads: the same verified block read as a
+// batched restore.
+
+use aurora::objstore::ObjId;
+use aurora::sim::error::ErrorKind;
+use aurora::vm::PageData;
+
+/// Every fault plan in this file damages bytes the same way: bit 3 of
+/// byte 100 of each block.
+fn rot(good: &[u8]) -> PageData {
+    let mut page = vec![0u8; 4096];
+    page[..good.len()].copy_from_slice(good);
+    page[100] ^= 1 << 3;
+    PageData::from_bytes(&page)
+}
+
+/// A failed verified read must leave no trace of the bytes it refused:
+/// nothing entered the read cache, and a fresh write of exactly those
+/// bytes finds no dedup twin to share.
+fn assert_refused_bytes_not_kept(host: &Host, bad: &PageData) {
+    let mut store = host.sls.primary.borrow_mut();
+    assert_eq!(store.read_cache_len(), 0, "refused bytes entered the read cache");
+    let probe = ObjId(0xbad0_0000);
+    let hits = store.stats.dedup_hits;
+    store.create_object(probe, 1).unwrap();
+    store.write_page(probe, 0, bad).unwrap();
+    assert_eq!(store.stats.dedup_hits, hits, "refused bytes entered the dedup index");
+    store.delete_object(probe).unwrap();
+}
+
+/// Installs `plan` on the primary device; the default plan disarms it.
+fn arm(host: &Host, plan: FaultPlan) {
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(plan);
+}
+
+/// A lazy restore faults every page in through the single-block read,
+/// which verifies it and heals each rotten block from the mirror twin:
+/// the application only ever sees the committed bytes, and the
+/// once-rotten replica can serve the store alone afterwards.
+#[test]
+fn lazy_restore_read_repairs_rotten_blocks_from_the_twin() {
+    let (mut host, addr) = boot_with_rotten_replica0();
+    let store = host.sls.primary.clone();
+    let head = store.borrow().head().unwrap();
+    let r = host.restore(&store, head, RestoreMode::Lazy).unwrap();
+    assert_eq!(r.pages_prefetched, 0, "a lazy restore reads at fault time");
+    let np = r.root_pid().unwrap();
+    for p in 0..MPAGES {
+        let want = format!("mirror-page-{p:04}");
+        let mut buf = vec![0u8; want.len()];
+        host.kernel.mem_read(np, addr + p * 4096, &mut buf).unwrap();
+        assert_eq!(buf, want.into_bytes(), "page {p} served damaged bytes");
+    }
+    let repairs = store.borrow().stats.read_repairs;
+    assert!(repairs >= MPAGES, "every faulted block was rotten: {repairs} repairs");
+    assert!(mirror(&host, |m| m.mirror_stats()).read_repairs >= MPAGES);
+
+    mirror(&host, |m| m.kill_replica(1)).unwrap();
+    store.borrow_mut().drop_caches().unwrap();
+    assert!(store.borrow_mut().scrub().is_empty(), "faults healed the platter");
+    verify_baseline(&mut host, addr);
+}
+
+/// Without a twin, the fault that meets damaged bytes fails with a typed
+/// `Corrupt` instead of mapping them. The refused bytes are not kept
+/// anywhere and nothing is written back, so once the electronics are
+/// healthy the store scrubs clean and the same process faults the page
+/// in correctly.
+#[test]
+fn lazy_restore_of_a_damaged_block_without_a_twin_fails_typed() {
+    let (mut host, addr, ckpt) = boot_materialized_with_baseline();
+    let ds = host.sls.primary.borrow().data_start();
+    arm(&host, FaultPlan::corrupt_read_blocks(ds, u64::MAX, 100, 3));
+    let store = host.sls.primary.clone();
+    let r = host.restore(&store, ckpt, RestoreMode::Lazy).unwrap();
+    let np = r.root_pid().unwrap();
+    let mut buf = [0u8; 16];
+    let err = host.kernel.mem_read(np, addr, &mut buf).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corrupt, "fault must fail typed: {err}");
+    assert_refused_bytes_not_kept(&host, &rot(b"read-fault-p0000"));
+    assert_eq!(store.borrow().stats.read_repairs, 0);
+
+    arm(&host, FaultPlan::default());
+    assert!(store.borrow_mut().scrub().is_empty(), "nothing was written back");
+    host.kernel.mem_read(np, addr, &mut buf).unwrap();
+    assert_eq!(&buf, b"read-fault-p0000");
+}
+
+/// Two pages and a tail of distinct file bytes.
+fn file_body() -> Vec<u8> {
+    (0..2 * 4096 + 300u32).map(|i| (i % 251) as u8 + 1).collect()
+}
+
+/// Writes [`file_body`] to `path` and commits it in a full checkpoint.
+fn commit_file(host: &mut Host, path: &str) {
+    let pid = host.kernel.spawn("writer");
+    let fd = host.kernel.open(pid, path, true).unwrap();
+    host.kernel.write(pid, fd, &file_body()).unwrap();
+    let gid = host.persist("writer", pid).unwrap();
+    let bd = host.checkpoint(gid, true, Some("file")).unwrap();
+    host.clock.advance_to(bd.durable_at);
+}
+
+/// Reads the whole of `path` through a fresh descriptor.
+fn read_file(host: &mut Host, path: &str) -> aurora::sim::error::Result<Vec<u8>> {
+    let reader = host.kernel.spawn("reader");
+    let fd = host.kernel.open(reader, path, false)?;
+    host.kernel.read(reader, fd, 4 * 4096)
+}
+
+/// An SLSFS file read of a rotten block is healed from the mirror twin
+/// exactly like a restore's read.
+#[test]
+fn slsfs_read_repairs_rotten_blocks_from_the_twin() {
+    let mut host = boot_mirrored(2);
+    let ds = host.sls.primary.borrow().data_start();
+    mirror(&host, |m| {
+        m.install_replica_fault_plan(0, FaultPlan::corrupt_blocks(ds, u64::MAX, 100, 3))
+    })
+    .unwrap();
+    commit_file(&mut host, "/sls/rotten.bin");
+    mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::default())).unwrap();
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+
+    assert_eq!(read_file(&mut host, "/sls/rotten.bin").unwrap(), file_body());
+    assert!(host.sls.primary.borrow().stats.read_repairs >= 3, "three rotten file blocks");
+    mirror(&host, |m| m.kill_replica(1)).unwrap();
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+    assert!(host.sls.primary.borrow_mut().scrub().is_empty());
+    assert_eq!(read_file(&mut host, "/sls/rotten.bin").unwrap(), file_body());
+}
+
+/// Without a twin, an SLSFS read of damaged bytes fails with a typed
+/// `Corrupt` and keeps none of them.
+#[test]
+fn slsfs_read_of_a_damaged_block_without_a_twin_fails_typed() {
+    let mut host = boot_materialized();
+    commit_file(&mut host, "/sls/damaged.bin");
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+    let ds = host.sls.primary.borrow().data_start();
+    arm(&host, FaultPlan::corrupt_read_blocks(ds, u64::MAX, 100, 3));
+
+    let err = read_file(&mut host, "/sls/damaged.bin").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corrupt, "read must fail typed: {err}");
+    assert_refused_bytes_not_kept(&host, &rot(&file_body()[..4096]));
+
+    arm(&host, FaultPlan::default());
+    assert!(host.sls.primary.borrow_mut().scrub().is_empty());
+    assert_eq!(read_file(&mut host, "/sls/damaged.bin").unwrap(), file_body());
 }
