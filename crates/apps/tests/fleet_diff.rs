@@ -6,16 +6,23 @@
 //! the KV state of N isolated hosts, each running a single tenant
 //! through the same op stream with the cycles fully serialized. The
 //! scheduler only reorders *when* flushes complete in virtual time; any
-//! divergence in restored state is a correctness bug in the barrier
-//! narrowing, the per-store commit locks, or the capture itself.
+//! divergence in restored state is a correctness bug in the pipelining
+//! or the capture itself.
+//!
+//! Commit ordering needs no lock: a `Host` is not `Send`, every cycle
+//! runs under `&mut Host`, and each backend commit holds its store's
+//! `RefCell` borrow. `pipelined_sweeps_commit_whole_cycles_in_order`
+//! keeps that argument as a test.
 
 // Test code asserts invariants; the workspace unwrap/expect denial is
 // for production paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use aurora_apps::kv::{KvServer, PersistMode};
 use aurora_apps::pool::TenantFleet;
 use aurora_core::fleet::TenantHealth;
-use aurora_core::Host;
+use aurora_core::restore::RestoreMode;
+use aurora_core::{GroupId, Host};
 use aurora_hw::ModelDev;
 use aurora_objstore::StoreConfig;
 use aurora_sim::SimClock;
@@ -235,4 +242,60 @@ fn interleaved_run_engages_the_scheduler() {
     );
     assert!(host.sls.fleet.stats.admitted >= 8);
     host.fleet_drain();
+}
+
+/// Four groups share the primary store and checkpoint through pipelined
+/// `checkpoint_all` sweeps. Every commit must land whole and in order:
+/// checkpoint ids strictly increase in commit order, each commit's
+/// parent is the commit just before it, and each group restores to its
+/// own live digest.
+#[test]
+fn pipelined_sweeps_commit_whole_cycles_in_order() {
+    const TENANTS: usize = 4;
+    let mut host = new_host();
+    let mut fleet = TenantFleet::start(&mut host, TENANTS, 0x0bde, HEAP, KEYS, VALUE_LEN).unwrap();
+    let gids: Vec<GroupId> = fleet.tenants.iter().map(|t| t.gid).collect();
+    let mut commits = Vec::new();
+    for _ in 0..3 {
+        for t in 0..TENANTS {
+            fleet.touch(&mut host, t, 4).unwrap();
+        }
+        let sweep = host.checkpoint_all(&gids, false);
+        assert_eq!(sweep.committed(), TENANTS, "errors: {:?}", sweep.errors());
+        for cycle in &sweep.cycles {
+            let bd = cycle.result.as_ref().unwrap();
+            commits.push((cycle.gid, bd.ckpt.unwrap()));
+        }
+    }
+    assert!(
+        host.sls.fleet.stats.overlapped > 0,
+        "the sweeps must pipeline cycles"
+    );
+    {
+        let store = host.sls.primary.borrow();
+        for pair in commits.windows(2) {
+            let (prev, next) = (pair[0].1, pair[1].1);
+            assert!(prev < next, "commit {next:?} is not after {prev:?}");
+            assert_eq!(store.checkpoint(next).unwrap().parent, Some(prev));
+        }
+    }
+    let live: Vec<u64> = (0..TENANTS)
+        .map(|t| fleet.digest(&mut host, t).unwrap())
+        .collect();
+    host.fleet_drain();
+    let mut host = host.crash_and_reboot().unwrap();
+    let store = host.sls.primary.clone();
+    for t in 0..TENANTS {
+        let ckpt = commits.iter().rev().find(|(g, _)| *g == gids[t]).unwrap().1;
+        let pid = host
+            .restore(&store, ckpt, RestoreMode::Eager)
+            .unwrap()
+            .root_pid()
+            .unwrap();
+        fleet.tenants[t].server =
+            KvServer::attach(&mut host, pid, PersistMode::AuroraTransparent).unwrap();
+        assert_eq!(fleet.digest(&mut host, t).unwrap(), live[t], "tenant {t}");
+        host.kernel.exit(pid, 0).unwrap();
+        host.kernel.procs.remove(&pid);
+    }
 }

@@ -29,7 +29,6 @@ use aurora_vm::VmoId;
 
 use crate::fleet::FlushMode;
 use crate::group::{Group, GroupId};
-use crate::lockdep::OrderedMutex;
 use crate::metrics::{self, CheckpointBreakdown, CheckpointOutcome};
 use crate::serialize::*;
 use crate::{Host, Sls};
@@ -90,17 +89,6 @@ impl Host {
                 gid.0
             )));
         }
-        // Resolve each backend's commit lock before entering the group
-        // barrier: the fleet registry ranks outermost, so lookups happen
-        // with nothing held.
-        let commit_locks = crate::fleet::commit_locks_for(self.sls.group_ref(gid)?);
-        // Per-group serialization: only cycles of the *same* group
-        // exclude each other. The capture/flush pipeline mutates this
-        // group's COW epochs and backend chains, which would interleave
-        // incoherently if two of its cycles overlapped — but unrelated
-        // tenants pipeline freely (the per-store commit locks below keep
-        // shared backends coherent).
-        let _cycle = crate::fleet::enter_group(gid.0);
         let requested_full = full;
         let mut full = requested_full
             || self
@@ -224,7 +212,6 @@ impl Host {
             full,
             name,
             mode,
-            &commit_locks,
         ) {
             Ok(d) => d,
             Err(e) if aborts_checkpoint(&e) => {
@@ -894,7 +881,6 @@ pub(crate) struct FlushReport {
 /// Any error propagates without committing; `abort_checkpoint` then
 /// forces the next checkpoint full, so a partially-applied plan on one
 /// backend is never extended incrementally.
-#[allow(clippy::too_many_arguments)]
 fn flush_capture(
     kernel: &mut Kernel,
     sls: &mut Sls,
@@ -903,7 +889,6 @@ fn flush_capture(
     full: bool,
     name: Option<&str>,
     mode: FlushMode,
-    commit_locks: &[&'static OrderedMutex<()>],
 ) -> Result<(SimTime, FlushReport)> {
     let next_group = sls.next_group_value();
     let workers = sls.flush_workers.max(1);
@@ -949,9 +934,6 @@ fn flush_capture(
         .groups
         .get_mut(&gid.0)
         .ok_or_else(|| Error::not_found(format!("persistence group {}", gid.0)))?;
-    if commit_locks.len() != group.backends.len() {
-        return Err(Error::internal("commit locks out of step with backends"));
-    }
 
     // --- Stages 2+3: coalesced write and commit, per backend. ---------
     let mut durable = SimTime::ZERO;
@@ -965,7 +947,7 @@ fn flush_capture(
     let mut delta_records = 0u64;
     let mut delta_bytes = 0u64;
     let mut chain_len_max = 0u64;
-    for (backend, &store_commit) in group.backends.iter_mut().zip(commit_locks) {
+    for backend in group.backends.iter_mut() {
         let mut store = backend.store.borrow_mut();
         for &(v, oid) in &captured.vmo_oid {
             if !store.object_exists(oid) {
@@ -1025,13 +1007,10 @@ fn flush_capture(
         // namespace, and colliding object ids would leak stale pages
         // through the checkpoint chain.
         store.put_blob("sls/host", sls_host_blob(next_group));
-        // One typestate commit per store at a time: a store shared by
-        // several groups sees whole seal → barrier → flip sequences even
-        // when unrelated cycles overlap under their own group barriers.
-        let (ckpt, backend_durable) = {
-            let _commit = store_commit.lock();
-            store.commit(name)?
-        };
+        // The store's `borrow_mut` spans the whole typestate commit: a
+        // store shared by several groups sees whole seal → barrier → flip
+        // sequences, one commit at a time.
+        let (ckpt, backend_durable) = store.commit(name)?;
         phase_seals += store.stats.journal_seals - seals0;
         phase_barriers += store.stats.extent_barriers - barriers0;
         phase_flips += store.stats.superblock_flips - flips0;

@@ -6,68 +6,58 @@
 //! hash/dedup/coalesce pipeline and the delta log idle while unrelated
 //! tenants queue — the aggregation bottleneck stdchk identifies for
 //! checkpoint storage. This module narrows the serialization to what
-//! correctness actually needs:
+//! correctness actually needs, and lets the borrow checker enforce it:
 //!
-//! * a **per-group barrier** ([`enter_group`]) — one group's cycles
-//!   still exclude each other (its COW epochs and backend chains would
-//!   interleave incoherently), but tenant A's flush overlaps tenant B's
-//!   capture;
-//! * a **per-store commit lock** ([`commit_locks_for`]) — a store
-//!   shared by several groups sees one typestate commit
-//!   (seal → barrier → flip) at a time, preserving per-backend commit
-//!   ordering;
+//! * **one cycle per group at a time** — every cycle runs under
+//!   `&mut Host`, so one group's capture, flush and commit finish
+//!   before the next cycle of any group starts on the driving thread;
+//! * **one commit per store at a time** — each backend's typestate
+//!   commit (seal → barrier → flip) runs under that store's
+//!   `RefCell::borrow_mut`, so a store shared by several groups sees
+//!   whole commits, never interleaved ones;
 //! * a [`FleetScheduler`] — a bounded run queue of in-flight flushes
 //!   plus a set of hash-lane horizons. Admission retires the oldest
 //!   flush when the queue is full; a pipelined flush's hash stage
 //!   occupies the earliest-free lane instead of charging the driving
 //!   thread's clock, which is exactly the idle capacity the serialized
-//!   fleet wastes.
+//!   fleet wastes. The pipelining is virtual-time lane booking.
 //!
-//! Commit-ordering argument: within one group, the per-group barrier
-//! serializes cycles end-to-end, so its backends' chains grow in cycle
-//! order. Across groups sharing a store, the commit lock makes the
-//! store's journal/superblock sequence a clean interleaving of whole
-//! commits; each group's own chain is still ordered by its barrier.
-//! Durability is per-cycle (`durable_at` = max over backends and the
-//! hash lane), so external-consistency release never observes another
-//! tenant's cycle.
-//!
-//! Barriers and commit locks are minted once per group / store and
-//! deliberately leaked: they are `'static` for lockdep, bounded by the
-//! number of groups and stores a process ever creates, and a group id
-//! is never reused across reboots.
+//! Commit-ordering argument: a [`Host`] is not `Send` (its stores are
+//! `Rc<RefCell<ObjectStore>>`), so only one thread ever drives its
+//! cycles, and each cycle holds `&mut Host` end to end. A group's
+//! backend chains therefore grow in cycle order, and a store shared by
+//! several groups sees its journal/superblock sequence as a sequence of
+//! whole commits. Durability is per-cycle (`durable_at` = max over
+//! backends and the hash lane), so external-consistency release never
+//! observes another tenant's cycle. The only real threads are the
+//! scoped hash workers in [`crate::flush`]; they return their results
+//! through join handles and touch no shared state.
 //!
 //! **Fault domains.** Every tenant additionally carries a
 //! [`TenantDomain`]: a health state machine
 //! (`Healthy → Degraded → Quarantined`, mirroring the mirror layer's
 //! replica states) driven by checkpoint outcomes, per-cycle deadlines
 //! on the virtual clock, and consecutive-failure counters. A
-//! quarantined tenant's cycles are skipped before its group barrier is
-//! ever taken and its in-flight lane bookings are released, so one
-//! sick tenant cannot back up the shared run queue — the rest of the
-//! fleet proceeds. Re-admission is probed with capped exponential
-//! backoff, gated on the tenant's backing devices
+//! quarantined tenant's cycles are skipped before any capture starts
+//! and its in-flight lane bookings are released, so one sick tenant
+//! cannot back up the shared run queue — the rest of the fleet
+//! proceeds. Re-admission is probed with capped exponential backoff,
+//! gated on the tenant's backing devices
 //! ([`aurora_hw::ResilientDev`] health / mirror degradation) looking
 //! healthy again; the first committed on-time probe re-admits the
-//! tenant. The table lives behind the `tenant_health` lockdep rank:
-//! the admission gate consults it before any barrier is taken and the
-//! verdict is recorded after the cycle's guard is released, so it is
-//! never held across a capture or flush.
+//! tenant. The table is a plain map inside the scheduler: the
+//! admission gate reads it before a cycle and the verdict is recorded
+//! after it.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 use aurora_hw::DevHealth;
 use aurora_sim::error::Result;
-use aurora_sim::lockdep::{
-    OrderedMutex, RANK_FLEET_REGISTRY, RANK_GROUP_BARRIER, RANK_STORE_COMMIT,
-    RANK_TENANT_HEALTH,
-};
 use aurora_sim::stats::LogHistogram;
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 
-use crate::group::{Group, GroupId};
+use crate::group::GroupId;
 use crate::metrics::{self, CheckpointBreakdown, CheckpointOutcome};
 use crate::Host;
 
@@ -84,81 +74,6 @@ pub(crate) enum FlushMode {
     Pipelined,
 }
 
-/// Lock registry: per-group barriers and per-store commit locks, keyed
-/// by group id and store pointer. Entries are leaked `'static` lock
-/// instances (see the module docs for why that is bounded).
-struct Registry {
-    groups: BTreeMap<u32, &'static OrderedMutex<()>>,
-    stores: BTreeMap<usize, &'static OrderedMutex<()>>,
-}
-
-/// Held only for lookups, and always with nothing else held (it ranks
-/// outermost): callers resolve their locks *before* entering a barrier.
-static REGISTRY: OrderedMutex<Registry> = OrderedMutex::new(
-    RANK_FLEET_REGISTRY,
-    "fleet_registry",
-    Registry {
-        groups: BTreeMap::new(),
-        stores: BTreeMap::new(),
-    },
-);
-
-/// The barrier instance serializing group `gid`'s cycles.
-pub(crate) fn barrier_for(gid: u32) -> &'static OrderedMutex<()> {
-    let mut reg = REGISTRY.lock();
-    if let Some(&b) = reg.groups.get(&gid) {
-        return b;
-    }
-    let minted: &'static OrderedMutex<()> = Box::leak(Box::new(OrderedMutex::new(
-        RANK_GROUP_BARRIER,
-        "group_barrier",
-        (),
-    )));
-    reg.groups.insert(gid, minted);
-    minted
-}
-
-/// Guard for one group's checkpoint/restore cycle.
-pub(crate) struct GroupCycleGuard {
-    _guard: aurora_sim::lockdep::OrderedMutexGuard<'static, ()>,
-}
-
-/// Enters group `gid`'s cycle: takes its per-group barrier. Cycles of
-/// different groups pipeline; two cycles of the same group exclude each
-/// other.
-pub(crate) fn enter_group(gid: u32) -> GroupCycleGuard {
-    let group_barrier = barrier_for(gid);
-    GroupCycleGuard {
-        _guard: group_barrier.lock(),
-    }
-}
-
-/// Resolves the commit lock of every backend of `group`, in backend
-/// order. A store is keyed by its handle's pointer identity: two
-/// backends (of any groups) sharing a `StoreHandle` share the lock. A
-/// pointer reused after a store is dropped aliases the old lock, which
-/// only serializes a little coarser — never less.
-pub(crate) fn commit_locks_for(group: &Group) -> Vec<&'static OrderedMutex<()>> {
-    let mut reg = REGISTRY.lock();
-    group
-        .backends
-        .iter()
-        .map(|b| {
-            let key = Rc::as_ptr(&b.store) as usize;
-            if let Some(&l) = reg.stores.get(&key) {
-                return l;
-            }
-            let minted: &'static OrderedMutex<()> = Box::leak(Box::new(OrderedMutex::new(
-                RANK_STORE_COMMIT,
-                "store_commit",
-                (),
-            )));
-            reg.stores.insert(key, minted);
-            minted
-        })
-        .collect()
-}
-
 /// Health of one tenant's fault domain, mirroring the replica states
 /// of the mirror layer: healthy tenants cycle normally, degraded
 /// tenants failed recently but still cycle, quarantined tenants are
@@ -172,7 +87,7 @@ pub enum TenantHealth {
     /// cycling, [`QUARANTINE_AFTER`] consecutive failures away from
     /// quarantine.
     Degraded,
-    /// Cycles are skipped (the group barrier is never taken);
+    /// Cycles are skipped (the group's members are never stopped);
     /// re-admission is probed with capped exponential backoff once the
     /// backing devices report healthy again.
     Quarantined,
@@ -353,10 +268,8 @@ pub struct FleetScheduler {
     lanes: Vec<SimTime>,
     /// In-flight flushes, oldest first: `(group id, durable instant)`.
     inflight: VecDeque<(u32, SimTime)>,
-    /// Per-tenant fault domains, keyed by group id, behind the
-    /// `tenant_health` lockdep rank (consulted by the admission gate
-    /// before any barrier is taken, never held across a cycle).
-    health: Rc<OrderedMutex<BTreeMap<u32, TenantDomain>>>,
+    /// Per-tenant fault domains, keyed by group id.
+    health: BTreeMap<u32, TenantDomain>,
     /// Counters.
     pub stats: FleetStats,
 }
@@ -382,11 +295,7 @@ impl FleetScheduler {
             cycle_deadline: DEFAULT_CYCLE_DEADLINE,
             lanes: Vec::new(),
             inflight: VecDeque::new(),
-            health: Rc::new(OrderedMutex::new(
-                RANK_TENANT_HEALTH,
-                "tenant_health",
-                BTreeMap::new(),
-            )),
+            health: BTreeMap::new(),
             stats: FleetStats::default(),
         }
     }
@@ -467,14 +376,12 @@ impl FleetScheduler {
     /// Snapshot of one tenant's fault domain (default-healthy when the
     /// scheduler has not seen the tenant yet).
     pub fn domain(&self, gid: u32) -> TenantDomain {
-        let table = self.health.lock();
-        table.get(&gid).cloned().unwrap_or_default()
+        self.health.get(&gid).cloned().unwrap_or_default()
     }
 
     /// Snapshots of every tenant fault domain, sorted by group id.
     pub fn domains(&self) -> Vec<(u32, TenantDomain)> {
-        let table = self.health.lock();
-        table.iter().map(|(&g, d)| (g, d.clone())).collect()
+        self.health.iter().map(|(&g, d)| (g, d.clone())).collect()
     }
 
     /// Current health of one tenant.
@@ -482,11 +389,10 @@ impl FleetScheduler {
         self.domain(gid).health
     }
 
-    /// Admission gate: consulted before a cycle takes any lock. A
-    /// quarantined tenant runs only when its probe backoff elapsed.
+    /// Admission gate: consulted before a cycle starts. A quarantined
+    /// tenant runs only when its probe backoff elapsed.
     pub(crate) fn gate(&self, gid: u32, now: SimTime) -> CycleGate {
-        let table = self.health.lock();
-        match table.get(&gid) {
+        match self.health.get(&gid) {
             Some(d) if d.health == TenantHealth::Quarantined => {
                 if now < d.next_probe {
                     CycleGate::Skip {
@@ -502,10 +408,7 @@ impl FleetScheduler {
 
     /// Records a cycle skipped under quarantine.
     pub(crate) fn record_skip(&mut self, gid: u32) {
-        {
-            let mut table = self.health.lock();
-            table.entry(gid).or_default().cycles_skipped += 1;
-        }
+        self.health.entry(gid).or_default().cycles_skipped += 1;
         self.stats.cycles_skipped += 1;
     }
 
@@ -513,8 +416,7 @@ impl FleetScheduler {
     /// backing devices are still sick: doubles the backoff (capped)
     /// and returns the new probe instant.
     pub(crate) fn defer_probe(&mut self, gid: u32, now: SimTime, why: &str) -> SimTime {
-        let mut table = self.health.lock();
-        let d = table.entry(gid).or_default();
+        let d = self.health.entry(gid).or_default();
         d.last_fault = Some(format!("probe deferred: {why}"));
         d.next_probe = now + d.backoff;
         d.backoff = cap_backoff(d.backoff);
@@ -536,21 +438,13 @@ impl FleetScheduler {
     /// failure counter had crossed [`QUARANTINE_AFTER`]. The first
     /// re-admission probe is eligible one backoff from `now`.
     pub fn quarantine(&mut self, gid: u32, now: SimTime, reason: &str) {
-        let entered = {
-            let mut table = self.health.lock();
-            let d = table.entry(gid).or_default();
-            if d.health == TenantHealth::Quarantined {
-                false
-            } else {
-                d.health = TenantHealth::Quarantined;
-                d.quarantines += 1;
-                d.backoff = PROBE_BACKOFF_BASE;
-                d.next_probe = now + d.backoff;
-                d.last_fault = Some(format!("operator quarantine: {reason}"));
-                true
-            }
-        };
-        if entered {
+        let d = self.health.entry(gid).or_default();
+        if d.health != TenantHealth::Quarantined {
+            d.health = TenantHealth::Quarantined;
+            d.quarantines += 1;
+            d.backoff = PROBE_BACKOFF_BASE;
+            d.next_probe = now + d.backoff;
+            d.last_fault = Some(format!("operator quarantine: {reason}"));
             self.stats.quarantines += 1;
             self.release(gid);
         }
@@ -588,41 +482,38 @@ impl FleetScheduler {
             quarantined_now: false,
             readmitted_now: false,
         };
-        {
-            let mut table = self.health.lock();
-            let d = table.entry(gid).or_default();
-            if ok {
-                if d.health == TenantHealth::Quarantined {
-                    d.readmissions += 1;
-                    verdict.readmitted_now = true;
-                }
-                d.health = TenantHealth::Healthy;
-                d.consecutive_failures = 0;
-                d.backoff = PROBE_BACKOFF_BASE;
-                d.last_fault = None;
-            } else {
-                d.failures += 1;
-                d.consecutive_failures += 1;
-                if deadline_missed {
-                    d.deadline_misses += 1;
-                }
-                d.last_fault = Some(fault.to_string());
-                if d.health == TenantHealth::Quarantined {
-                    // Failed probe: stay quarantined, back off harder.
-                    d.next_probe = now + d.backoff;
-                    d.backoff = cap_backoff(d.backoff);
-                } else if d.consecutive_failures >= QUARANTINE_AFTER {
-                    d.health = TenantHealth::Quarantined;
-                    d.quarantines += 1;
-                    d.backoff = PROBE_BACKOFF_BASE;
-                    d.next_probe = now + d.backoff;
-                    verdict.quarantined_now = true;
-                } else {
-                    d.health = TenantHealth::Degraded;
-                }
+        let d = self.health.entry(gid).or_default();
+        if ok {
+            if d.health == TenantHealth::Quarantined {
+                d.readmissions += 1;
+                verdict.readmitted_now = true;
             }
-            verdict.health = d.health;
+            d.health = TenantHealth::Healthy;
+            d.consecutive_failures = 0;
+            d.backoff = PROBE_BACKOFF_BASE;
+            d.last_fault = None;
+        } else {
+            d.failures += 1;
+            d.consecutive_failures += 1;
+            if deadline_missed {
+                d.deadline_misses += 1;
+            }
+            d.last_fault = Some(fault.to_string());
+            if d.health == TenantHealth::Quarantined {
+                // Failed probe: stay quarantined, back off harder.
+                d.next_probe = now + d.backoff;
+                d.backoff = cap_backoff(d.backoff);
+            } else if d.consecutive_failures >= QUARANTINE_AFTER {
+                d.health = TenantHealth::Quarantined;
+                d.quarantines += 1;
+                d.backoff = PROBE_BACKOFF_BASE;
+                d.next_probe = now + d.backoff;
+                verdict.quarantined_now = true;
+            } else {
+                d.health = TenantHealth::Degraded;
+            }
         }
+        verdict.health = d.health;
         if verdict.failed {
             self.stats.cycle_errors += 1;
             push_fault(&mut self.stats.tenant_faults, gid, fault);
@@ -695,8 +586,8 @@ impl FleetSweep {
 }
 
 impl Host {
-    /// A breakdown for a cycle skipped under quarantine: no barrier was
-    /// taken, no checkpoint exists, the previous durable snapshot is
+    /// A breakdown for a cycle skipped under quarantine: no member was
+    /// stopped, no checkpoint exists, the previous durable snapshot is
     /// untouched.
     fn quarantined_breakdown(until: SimTime) -> CheckpointBreakdown {
         CheckpointBreakdown {
@@ -759,15 +650,15 @@ impl Host {
     }
 
     /// Takes a pipelined checkpoint of one tenant: admission through the
-    /// fleet scheduler's run queue, capture under the per-group barrier,
-    /// hash on a scheduler lane, commit under the per-store locks. The
+    /// fleet scheduler's run queue, capture, hash on a scheduler lane,
+    /// commit to every backend store. The
     /// returned breakdown's `durable_at` gates this cycle exactly like
     /// the serialized path; use [`Host::fleet_drain`] (or
     /// [`Host::wait_durable`]) to wait it out.
     ///
     /// The cycle runs inside the tenant's fault domain: a quarantined
     /// tenant's cycle is skipped (outcome
-    /// [`CheckpointOutcome::Quarantined`], no barrier taken) until its
+    /// [`CheckpointOutcome::Quarantined`], no member stopped) until its
     /// probe backoff elapses *and* its backing devices report healthy;
     /// failures, deadline misses and damaged-base degradations are
     /// charged against the tenant's health.
@@ -943,15 +834,6 @@ mod tests {
         assert_eq!(f.stats.queue_stalls, 1);
         assert_eq!(f.stats.admitted, 3);
         assert_eq!(f.stats.overlapped, 2);
-    }
-
-    #[test]
-    fn same_group_barrier_instance_is_reused() {
-        let a = barrier_for(90_001);
-        let b = barrier_for(90_001);
-        let c = barrier_for(90_002);
-        assert!(std::ptr::eq(a, b));
-        assert!(!std::ptr::eq(a, c));
     }
 
     #[test]

@@ -8,71 +8,72 @@
 //! re-hashed the whole plan once per backend.
 //!
 //! Determinism: shard boundaries depend only on plan length and worker
-//! count, workers never touch shared mutable state except the
-//! [`FLUSH_SHARD`] collector, and reassembly sorts by shard index — so
-//! the resulting write sequence is byte-identical to a serial hash pass
-//! regardless of worker count or scheduling. The differential test in
-//! `tests/parallel_flush_diff.rs` checks exactly this.
+//! count, and each worker hands its shard's hashes back through its
+//! join handle, which the driving thread joins in shard order. Workers
+//! share no mutable state, so concurrent hash stages (two Hosts on two
+//! threads) cannot see each other's results, and the write sequence is
+//! byte-identical to a serial hash pass regardless of worker count or
+//! scheduling. The differential test in `tests/parallel_flush_diff.rs`
+//! checks exactly this. The restore pipeline's hash stage runs through
+//! the same [`hash_sharded`] pass.
 
 use std::thread;
 
 use aurora_objstore::{ObjId, PageWrite};
 use aurora_vm::PageData;
 
-use crate::lockdep::{OrderedMutex, RANK_FLUSH_SHARD};
-
 /// Plans smaller than this are hashed inline: spawning threads costs
 /// more than hashing a handful of 4 KiB pages.
 pub const PARALLEL_THRESHOLD: usize = 64;
-
-/// Collector for hashed shards: workers push `(shard index, hashes)`
-/// pairs as they finish. The single driving thread runs one hash stage
-/// at a time (under the owning group's barrier), so at most one stage
-/// uses this collector at once even though unrelated tenants' cycles
-/// pipeline.
-static FLUSH_SHARD: OrderedMutex<Vec<(usize, Vec<u64>)>> =
-    OrderedMutex::new(RANK_FLUSH_SHARD, "flush_shard", Vec::new());
 
 /// One resolved page of the flush plan: destination object, page index,
 /// and the frozen contents.
 pub type PlanPage = (ObjId, u64, PageData);
 
+/// Content-hashes the page each of `items` carries on `workers` scoped
+/// threads, one contiguous shard per worker, and returns the hashes in
+/// item order. Each worker returns its shard's hashes through its join
+/// handle, so concurrent calls share no state.
+///
+/// Returns `None` when the caller should run its serial reference pass
+/// instead: one worker, fewer than [`PARALLEL_THRESHOLD`] items, or a
+/// worker that panicked.
+pub fn hash_sharded<T: Sync>(
+    items: &[T],
+    workers: usize,
+    page: impl Fn(&T) -> &PageData + Sync,
+) -> Option<Vec<u64>> {
+    let workers = workers.max(1);
+    if workers == 1 || items.len() < PARALLEL_THRESHOLD {
+        return None;
+    }
+    let shard_len = items.len().div_ceil(workers);
+    let page = &page;
+    let shards: Vec<Option<Vec<u64>>> = thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(shard_len)
+            .map(|shard| {
+                s.spawn(move || shard.iter().map(|it| page(it).content_hash()).collect())
+            })
+            .collect();
+        // Join every handle, even after a failed one: a panicked worker
+        // left unjoined would re-panic when the scope ends.
+        handles.into_iter().map(|h| h.join().ok()).collect()
+    });
+    shards.into_iter().collect::<Option<Vec<_>>>().map(|s| s.concat())
+}
+
 /// Content-hashes the resolved flush plan on `workers` threads and
 /// returns the writes in plan order.
 pub fn hash_plan(pages: Vec<PlanPage>, workers: usize) -> Vec<PageWrite> {
-    let workers = workers.max(1);
-    if workers == 1 || pages.len() < PARALLEL_THRESHOLD {
-        return hash_serial(pages);
+    match hash_sharded(&pages, workers, |(_, _, p)| p) {
+        Some(hashes) => pages
+            .into_iter()
+            .zip(hashes)
+            .map(|((oid, idx, page), hash)| PageWrite { oid, idx, page, hash })
+            .collect(),
+        None => hash_serial(pages),
     }
-
-    let shard_len = pages.len().div_ceil(workers);
-    {
-        FLUSH_SHARD.lock().clear();
-    }
-    thread::scope(|s| {
-        for (shard_idx, shard) in pages.chunks(shard_len).enumerate() {
-            s.spawn(move || {
-                let hashes: Vec<u64> = shard.iter().map(|(_, _, p)| p.content_hash()).collect();
-                {
-                    FLUSH_SHARD.lock().push((shard_idx, hashes));
-                }
-            });
-        }
-    });
-
-    let mut shards = std::mem::take(&mut *FLUSH_SHARD.lock());
-    shards.sort_unstable_by_key(|&(idx, _)| idx);
-    let hashes: Vec<u64> = shards.into_iter().flat_map(|(_, h)| h).collect();
-    if hashes.len() != pages.len() {
-        // A worker vanished (spawn failure). Fall back to the serial
-        // pass rather than writing pages with missing hashes.
-        return hash_serial(pages);
-    }
-    pages
-        .into_iter()
-        .zip(hashes)
-        .map(|((oid, idx, page), hash)| PageWrite { oid, idx, page, hash })
-        .collect()
 }
 
 /// The single-threaded reference pass.
@@ -118,6 +119,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn panicked_worker_falls_back_to_serial() {
+        let pages = plan(PARALLEL_THRESHOLD * 2);
+        let last = pages.len() as u64 - 1;
+        // The second shard's worker panics on its last page.
+        let got = hash_sharded(&pages, 2, |(_, idx, p)| {
+            assert_ne!(*idx, last, "injected worker fault");
+            p
+        });
+        assert!(got.is_none());
     }
 
     #[test]

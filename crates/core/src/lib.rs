@@ -67,9 +67,8 @@ pub use metrics::{CheckpointBreakdown, CheckpointOutcome, RestoreBreakdown};
 pub use replicate::{
     promote_to_host, FramePayload, PromoteReport, ReplConfig, ReplFrame, ReplStats, Replicator,
 };
-// Lockdep moved down to `aurora-sim` so the object store's page-cache
-// lock can carry a rank; existing `aurora_core::lockdep` paths keep
-// working through this re-export.
+// Lockdep lives in `aurora-sim`; existing `aurora_core::lockdep` paths
+// keep working through this re-export.
 pub use aurora_sim::lockdep;
 
 /// Namespace base for SLSFS store objects on the primary store.
@@ -140,6 +139,15 @@ pub const DEFAULT_FLUSH_WORKERS: usize = 4;
 pub const DEFAULT_RESTORE_WORKERS: usize = 4;
 
 /// A simulated machine: kernel + SLS.
+///
+/// A `Host` is not `Send`: its stores are `Rc<RefCell<ObjectStore>>`,
+/// so one thread drives every checkpoint and restore cycle, under
+/// `&mut Host`. That is what orders commits; no lock does.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<aurora_core::Host>();
+/// ```
 pub struct Host {
     /// Host name.
     pub name: String,

@@ -21,7 +21,6 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::thread;
 
 use aurora_objstore::{CkptId, ObjId};
 use aurora_posix::fd::{FileId, FileKind, OpenFile};
@@ -39,7 +38,6 @@ use aurora_vm::map::RestoreHint;
 use aurora_vm::object::ResidentPage;
 use aurora_vm::{MapEntry, Pager, PageData, Prot, SlsPolicy, VmoId, VmoKind};
 
-use crate::lockdep::{OrderedMutex, RANK_RESTORE_SHARD};
 use crate::metrics::{self, RestoreBreakdown};
 use crate::serialize::*;
 use crate::Host;
@@ -259,7 +257,6 @@ impl Host {
             }
         } else {
             self.batched_page_in(
-                manifest.gid,
                 store,
                 ckpt,
                 pager_id,
@@ -587,10 +584,8 @@ impl Host {
     /// same order the serial loop would — so the resulting memory image
     /// is byte-identical for any worker count (the differential test in
     /// `tests/parallel_restore_diff.rs` checks exactly this).
-    #[allow(clippy::too_many_arguments)]
     fn batched_page_in(
         &mut self,
-        gid: u32,
         store: &StoreHandle,
         ckpt: CkptId,
         pager: aurora_vm::PagerId,
@@ -653,20 +648,13 @@ impl Host {
 
         // Pass 3: content-hash the freshly fetched pages in parallel.
         // The hashes feed the store's content index (warm twin blocks)
-        // and the cost is divided across the workers. The target group's
-        // own barrier serializes use of the shard collector — restores
-        // of unrelated tenants pipeline with checkpoints, exactly like
-        // the flush path.
+        // and the cost is divided across the workers.
         let fetched: Vec<(u64, PageData)> = outcome
             .fetched
             .iter()
             .filter_map(|b| outcome.pages.get(b).map(|p| (*b, p.clone())))
             .collect();
-        let pairs = {
-            let group_barrier = crate::fleet::barrier_for(gid);
-            let _cycle = group_barrier.lock();
-            hash_fetched(&fetched, workers)
-        };
+        let pairs = hash_fetched(&fetched, workers);
         self.clock
             .charge(cost::hash_stage(fetched.len() as u64, workers as u64));
         store.borrow_mut().note_read_hashes(&pairs);
@@ -840,47 +828,14 @@ impl Host {
     }
 }
 
-/// Collector for the restore hash stage: workers push
-/// `(shard index, hashes)` pairs as they finish. The single driving
-/// thread runs one hash stage at a time (under the target group's
-/// barrier), so at most one stage uses this collector at once even
-/// though unrelated tenants' cycles pipeline.
-static RESTORE_SHARD: OrderedMutex<Vec<(usize, Vec<u64>)>> =
-    OrderedMutex::new(RANK_RESTORE_SHARD, "restore_shard", Vec::new());
-
 /// Content-hashes fetched `(block, page)` pairs on `workers` threads
-/// and returns `(block, hash)` pairs in input order. Mirrors
-/// `crate::flush::hash_plan`: shard boundaries depend only on input
-/// length and worker count, and reassembly sorts by shard index, so the
-/// output is byte-identical to a serial pass for any worker count.
+/// and returns `(block, hash)` pairs in input order, through the same
+/// sharded pass as the flush hash stage ([`crate::flush::hash_sharded`]).
 fn hash_fetched(pages: &[(u64, PageData)], workers: usize) -> Vec<(u64, u64)> {
-    let workers = workers.max(1);
-    if workers == 1 || pages.len() < crate::flush::PARALLEL_THRESHOLD {
-        return hash_fetched_serial(pages);
+    match crate::flush::hash_sharded(pages, workers, |(_, p)| p) {
+        Some(hashes) => pages.iter().map(|&(b, _)| b).zip(hashes).collect(),
+        None => hash_fetched_serial(pages),
     }
-    let shard_len = pages.len().div_ceil(workers);
-    {
-        RESTORE_SHARD.lock().clear();
-    }
-    thread::scope(|s| {
-        for (shard_idx, shard) in pages.chunks(shard_len).enumerate() {
-            s.spawn(move || {
-                let hashes: Vec<u64> = shard.iter().map(|(_, p)| p.content_hash()).collect();
-                {
-                    RESTORE_SHARD.lock().push((shard_idx, hashes));
-                }
-            });
-        }
-    });
-    let mut shards = std::mem::take(&mut *RESTORE_SHARD.lock());
-    shards.sort_unstable_by_key(|&(idx, _)| idx);
-    let hashes: Vec<u64> = shards.into_iter().flat_map(|(_, h)| h).collect();
-    if hashes.len() != pages.len() {
-        // A worker vanished (spawn failure). Fall back to the serial
-        // pass rather than wiring pages with missing hashes.
-        return hash_fetched_serial(pages);
-    }
-    pages.iter().map(|&(b, _)| b).zip(hashes).collect()
 }
 
 /// The single-threaded reference pass.

@@ -6,6 +6,10 @@
 //! bytes on the device, the same dedup hit count, the same number of
 //! live blocks. Worker count and extent batching are pure performance
 //! knobs — any divergence here is a correctness bug.
+//!
+//! The hash stage must also be safe to run on several threads at once
+//! (two Hosts on two test threads): each call's workers hand their
+//! results back to that call alone.
 
 // Test code asserts invariants; the workspace unwrap/expect denial is
 // for production flush paths.
@@ -142,5 +146,54 @@ fn coalescing_batches_adjacent_blocks() {
         "adjacent fresh blocks must share extents: {} extents / {} blocks",
         store.stats.extents_coalesced,
         store.stats.blocks_coalesced
+    );
+}
+
+/// Two threads run the sharded hash stage at once on equal-length plans
+/// with different contents, many times over. Every result must equal
+/// its own serial reference: one call's workers must never hand their
+/// hashes to the other call.
+#[test]
+fn concurrent_hash_stages_never_swap_results() {
+    const PAGES: u64 = 128;
+    const WORKERS: usize = 2;
+    const ROUNDS: usize = 3_000;
+    // A seeded page at the head of every shard makes each shard's
+    // hashes differ between the two plans; the rest are cheap zero
+    // pages, so a round costs little more than its thread spawns.
+    let plan = |salt: u64| -> Vec<flush::PlanPage> {
+        (0..PAGES)
+            .map(|i| {
+                let data = if i % (PAGES / WORKERS as u64) == 0 {
+                    PageData::Seeded(salt + i)
+                } else {
+                    PageData::Zero
+                };
+                (ObjId(0), i, data)
+            })
+            .collect()
+    };
+    let hashes = |plan: Vec<flush::PlanPage>, workers: usize| -> Vec<u64> {
+        flush::hash_plan(plan, workers).iter().map(|w| w.hash).collect()
+    };
+    let wrong: usize = std::thread::scope(|s| {
+        let callers: Vec<_> = [1u64, 1 << 32]
+            .into_iter()
+            .map(|salt| {
+                s.spawn(move || {
+                    let reference = hashes(plan(salt), 1);
+                    (0..ROUNDS)
+                        .filter(|_| hashes(plan(salt), WORKERS) != reference)
+                        .count()
+                })
+            })
+            .collect();
+        callers.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_eq!(
+        wrong,
+        0,
+        "{wrong} of {} concurrent hash stages returned another call's hashes",
+        2 * ROUNDS
     );
 }

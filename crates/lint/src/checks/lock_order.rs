@@ -6,9 +6,9 @@
 //!
 //! ```toml
 //! [locks]
-//! order = ["group_barrier", "store_commit", "metrics"]   # outermost first
+//! order = ["metrics"]   # outermost first
 //! [locks.sites]
-//! group_barrier = "group_barrier"
+//! METRICS = "metrics"
 //! ```
 //!
 //! Three rules:

@@ -9,7 +9,7 @@
 //! - [`checks::format`] — every codec round-trips under test, and
 //!   format-bearing edits are tied to `layout.rs::VERSION`;
 //! - [`checks::lock_order`] — locks are rank-declared and statically
-//!   ordered (the runtime half lives in `aurora_core::lockdep`);
+//!   ordered (the runtime half lives in `aurora_sim::lockdep`);
 //! - [`checks::error_class`] — every `ErrorKind` is explicitly
 //!   transient or permanent;
 //! - [`checks::commit_phase`] — raw device writes only inside the

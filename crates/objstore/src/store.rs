@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use aurora_hw::{BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
-use aurora_sim::lockdep::{OrderedMutex, RANK_PAGE_CACHE};
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_vm::PageData;
 
@@ -443,7 +442,7 @@ impl ReadCache {
     }
 }
 
-/// One probe against the read cache, resolved under a single lock hold.
+/// One probe against the read cache.
 enum ReadProbe {
     /// The block itself is resident; its contents ride along.
     Hit(PageData),
@@ -453,11 +452,7 @@ enum ReadProbe {
     Miss,
 }
 
-/// Page contents plus the dedup index and the bounded read cache,
-/// behind one lock so the `&self` paths (dedup lookups, scrub) can
-/// reach them. The lock carries lockdep rank `page_cache` because
-/// batched restores touch it from inside the checkpoint barrier while
-/// flush workers run.
+/// Page contents plus the dedup index and the bounded read cache.
 struct PageCache {
     /// Authoritative page contents by block (compact representation).
     data: HashMap<u64, PageData>,
@@ -632,7 +627,7 @@ pub struct ObjectStore {
     /// Committed delta records (rebuilt from the journal on recovery).
     delta: DeltaLog,
     /// Page contents, the dedup index and the bounded read cache.
-    cache: OrderedMutex<PageCache>,
+    cache: PageCache,
     /// Counters.
     pub stats: StoreStats,
 }
@@ -676,7 +671,7 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta: DeltaLog::default(),
-            cache: OrderedMutex::new(RANK_PAGE_CACHE, "page_cache", cache),
+            cache,
             stats: StoreStats::default(),
         })
     }
@@ -696,7 +691,7 @@ impl ObjectStore {
     pub fn recover(self) -> Result<Self> {
         let mut dev = self.dev.into_inner();
         dev.power_on();
-        Self::open_with_data(dev, self.config, self.cache.into_inner().data)
+        Self::open_with_data(dev, self.config, self.cache.data)
     }
 
     fn open_with_data(
@@ -768,7 +763,7 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta,
-            cache: OrderedMutex::new(RANK_PAGE_CACHE, "page_cache", cache),
+            cache,
             stats: StoreStats::default(),
         })
     }
@@ -904,7 +899,7 @@ impl ObjectStore {
 
     fn release_block(&mut self, ptr: BlockPtr) {
         if self.alloc.decref(ptr) {
-            self.cache.get_mut().evict(ptr);
+            self.cache.evict(ptr);
         }
     }
 
@@ -952,7 +947,7 @@ impl ObjectStore {
                 } else {
                     self.dev.get_mut().submit_write_timing(BLOCK_SIZE as u64)?;
                 }
-                self.cache.get_mut().install(ptr, page, hash);
+                self.cache.install(ptr, page, hash);
                 ptr
             }
         };
@@ -1004,7 +999,7 @@ impl ObjectStore {
                 }
                 None => {
                     let ptr = self.alloc.alloc()?;
-                    self.cache.get_mut().install(ptr, &w.page, hash);
+                    self.cache.install(ptr, &w.page, hash);
                     fresh.insert(ptr.0, w.page.clone());
                     ptr
                 }
@@ -1045,7 +1040,7 @@ impl ObjectStore {
                 // drop the unbacked contents so the cache never claims
                 // bytes the medium does not hold.
                 for &b in blocks.iter().skip(i) {
-                    self.cache.get_mut().evict(BlockPtr(b));
+                    self.cache.evict(BlockPtr(b));
                 }
                 return Err(e);
             }
@@ -1085,7 +1080,7 @@ impl ObjectStore {
 
     fn find_dedup(&self, page: &PageData, hash: Option<u64>) -> Option<BlockPtr> {
         let h = hash?;
-        let cache = self.cache.lock();
+        let cache = &self.cache;
         for &cand in cache.dedup.candidates(h)? {
             if let Some(existing) = cache.data.get(&cand.0) {
                 if existing.content_eq(page) {
@@ -1361,7 +1356,7 @@ impl ObjectStore {
         };
         let (mut hits, mut content_hits, mut misses) = (0u64, 0u64, 0u64);
         {
-            let mut cache = self.cache.lock();
+            let cache = &mut self.cache;
             for &b in run {
                 let page = match cache.probe_read(b) {
                     ReadProbe::Hit(page) => page,
@@ -1415,7 +1410,7 @@ impl ObjectStore {
                 }
                 bufs = again;
             }
-            let mut cache = self.cache.lock();
+            let cache = &mut self.cache;
             for (&b, buf) in run.iter().zip(&bufs) {
                 if out.pages.contains_key(&b) {
                     continue; // probe already served it
@@ -1429,7 +1424,7 @@ impl ObjectStore {
             }
         } else {
             {
-                let mut cache = self.cache.lock();
+                let cache = &mut self.cache;
                 for &b in run {
                     if out.pages.contains_key(&b) {
                         continue;
@@ -1460,7 +1455,7 @@ impl ObjectStore {
     fn repair_extent(&mut self, run: &[u64], bufs: &mut [Vec<u8>]) -> Result<bool> {
         // (position in run, block id, expected hash) of damaged blocks.
         let damaged: Vec<(usize, u64, u64)> = {
-            let cache = self.cache.lock();
+            let cache = &self.cache;
             run.iter()
                 .zip(bufs.iter())
                 .enumerate()
@@ -1496,7 +1491,7 @@ impl ObjectStore {
     /// True if any block in `run` whose content hash is recorded came
     /// back from the medium with different bytes.
     fn extent_hash_mismatch(&self, run: &[u64], bufs: &[Vec<u8>]) -> bool {
-        let cache = self.cache.lock();
+        let cache = &self.cache;
         run.iter().zip(bufs).any(|(&b, buf)| {
             cache
                 .block_hash
@@ -1511,7 +1506,7 @@ impl ObjectStore {
     /// write-time hash record, the per-block reverse index the
     /// corruption check and content probes rely on).
     pub fn note_read_hashes(&mut self, pairs: &[(u64, u64)]) {
-        let cache = self.cache.get_mut();
+        let cache = &mut self.cache;
         for &(block, h) in pairs {
             cache.block_hash.entry(block).or_insert(h);
             cache.read.set_hash(block, h);
@@ -1522,7 +1517,7 @@ impl ObjectStore {
     /// evicting down if needed.
     pub fn set_read_cache_capacity(&mut self, pages: usize) {
         self.config.read_cache_pages = pages;
-        self.cache.get_mut().read.set_capacity(pages);
+        self.cache.read.set_capacity(pages);
     }
 
     /// The bounded read cache's capacity in pages.
@@ -1532,18 +1527,18 @@ impl ObjectStore {
 
     /// Current read-cache occupancy in pages.
     pub fn read_cache_len(&self) -> usize {
-        self.cache.lock().read.len()
+        self.cache.read.len()
     }
 
     /// Lifetime read-cache evictions (capacity pressure).
     pub fn read_cache_evictions(&self) -> u64 {
-        self.cache.lock().read.evictions
+        self.cache.read.evictions
     }
 
     /// Drops the read cache alone — the cold-start state for a
     /// measurement run. Contents and indices are untouched.
     pub fn clear_read_cache(&mut self) {
-        self.cache.get_mut().read.clear();
+        self.cache.read.clear();
     }
 
     /// Drops every cached page body and the read cache, forcing
@@ -1561,7 +1556,7 @@ impl ObjectStore {
                 "drop_caches requires materialized data; the page table is the only copy",
             ));
         }
-        let cache = self.cache.get_mut();
+        let cache = &mut self.cache;
         cache.data.clear();
         cache.read.clear();
         Ok(())
@@ -1985,7 +1980,7 @@ impl ObjectStore {
                     "block {block}: refcount {actual}, {refs} referents"
                 ));
             }
-            if !self.cache.lock().data.contains_key(&block) && !self.config.materialize_data {
+            if !self.cache.data.contains_key(&block) && !self.config.materialize_data {
                 problems.push(format!("block {block}: contents unrecoverable"));
             }
         }
@@ -2083,7 +2078,7 @@ impl ObjectStore {
             alloc.set_refs(BlockPtr(b), r);
         }
         self.alloc = alloc;
-        let cache = self.cache.get_mut();
+        let cache = &mut self.cache;
         cache.data.retain(|b, _| refs.contains_key(b));
         if self.config.dedup {
             cache.rebuild_dedup();
@@ -2195,15 +2190,9 @@ impl ObjectStore {
                 };
                 // Materialized stores verify the platter copy even when a
                 // clean copy is cached in memory: a write-time corruption
-                // would otherwise hide until the cache is dropped. One
-                // lock hold answers both questions for this block.
-                let (recallable, expect) = {
-                    let cache = self.cache.lock();
-                    (
-                        cache.data.contains_key(&ptr.0),
-                        cache.block_hash.get(&ptr.0).copied(),
-                    )
-                };
+                // would otherwise hide until the cache is dropped.
+                let recallable = self.cache.data.contains_key(&ptr.0);
+                let expect = self.cache.block_hash.get(&ptr.0).copied();
                 if recallable && !self.config.materialize_data {
                     continue;
                 }

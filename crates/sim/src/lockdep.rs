@@ -22,50 +22,13 @@ use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // Ranks for the declared hierarchy, outermost first. These mirror the
 // index of each name in `lint-allow.toml [locks] order`; `aurora-lint`
-// cross-checks the static nesting against the same table.
+// cross-checks the static nesting against the same table. State that
+// only one thread can reach needs no rank: it lives behind `&mut` or a
+// `RefCell`, and the borrow checker enforces the exclusion.
 
-/// Rank of the fleet scheduler's barrier/commit-lock registry. Held
-/// only long enough to look up (or mint) a group's barrier or a
-/// store's commit lock, never across a capture or a flush — but the
-/// lookup happens before the per-group barrier is taken, so it must
-/// rank outermost.
-pub const RANK_FLEET_REGISTRY: u32 = 0;
-/// Rank of the fleet scheduler's per-tenant health table (fault
-/// domains: health state, failure counters, re-admission probes). The
-/// admission gate consults it *before* a cycle takes its group
-/// barrier, and cycle verdicts are recorded after the barrier is
-/// released, so it ranks between the registry and the barriers and is
-/// never held across a capture or flush.
-pub const RANK_TENANT_HEALTH: u32 = 1;
-/// Rank of a per-group checkpoint barrier. One instance exists per
-/// `GroupId`; it covers only the stop-the-group capture and the
-/// group's own flush/restore bookkeeping, so cycles of *different*
-/// groups pipeline instead of serializing on a global lock. All
-/// instances share this rank (same-rank acquisitions are sibling
-/// instances, never re-entry on one lock).
-pub const RANK_GROUP_BARRIER: u32 = 2;
-/// Rank of a per-store commit lock. Taken inside a group barrier for
-/// the duration of one typestate commit, so a store shared by several
-/// groups still sees exactly one `seal → barrier → flip` sequence at a
-/// time even when their cycles overlap.
-pub const RANK_STORE_COMMIT: u32 = 3;
-/// Rank of the parallel flush pipeline's shard-result collector. The
-/// driving thread holds its group's `group_barrier` while it gathers
-/// hashed shards, so this must rank inside the barrier; workers take
-/// it with nothing else held.
-pub const RANK_FLUSH_SHARD: u32 = 4;
-/// Rank of the parallel restore pipeline's shard-result collector.
-/// Mirrors `flush_shard`: the driving thread serializes batched
-/// restores on the target group's `group_barrier`, workers take this
-/// with nothing held.
-pub const RANK_RESTORE_SHARD: u32 = 5;
-/// Rank of the object store's shared page cache. The restore read
-/// pipeline takes it while the barrier is held; nothing but metrics
-/// may nest inside.
-pub const RANK_PAGE_CACHE: u32 = 6;
 /// Rank of the global metrics registry (innermost: any path may record
 /// counters while holding anything else).
-pub const RANK_METRICS: u32 = 7;
+pub const RANK_METRICS: u32 = 0;
 
 /// A mutex that participates in lock-order verification.
 pub struct OrderedMutex<T> {
@@ -95,7 +58,7 @@ impl<T> OrderedMutex<T> {
     ///
     /// A poisoned mutex is recovered rather than propagated: lockdep
     /// panics *instead of* deadlocking, and the state under these locks
-    /// (counters, a unit barrier) stays coherent across an unwind.
+    /// (counters) stays coherent across an unwind.
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         let token = tracking::acquire(self.rank, self.name);
         let guard = match self.inner.lock() {
@@ -103,23 +66,6 @@ impl<T> OrderedMutex<T> {
             Err(poisoned) => poisoned.into_inner(),
         };
         OrderedMutexGuard { guard, _token: token }
-    }
-
-    /// Exclusive access through `&mut self`: no locking, no hierarchy
-    /// slot — the borrow checker already proves no other holder exists.
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Consumes the mutex and returns the protected value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 }
 
@@ -406,36 +352,36 @@ mod tests {
 
     #[test]
     fn real_hierarchy_registers_cleanly() {
-        // The production descent: registry outermost, then a group
-        // barrier, a store commit lock, metrics innermost.
-        static REGISTRY: OrderedMutex<()> =
-            OrderedMutex::new(RANK_FLEET_REGISTRY, "fleet_registry", ());
-        static BARRIER: OrderedMutex<()> =
-            OrderedMutex::new(RANK_GROUP_BARRIER, "group_barrier", ());
-        static COMMIT: OrderedMutex<()> =
-            OrderedMutex::new(RANK_STORE_COMMIT, "store_commit", ());
+        // Metrics is the innermost leaf: any lock may be held while a
+        // counter is recorded. A test lock stands in for the caller; a
+        // rank is only an identity in the edge graph, so its number
+        // does not have to sort before metrics'.
+        static OUTER: OrderedMutex<()> = OrderedMutex::new(240, "outer", ());
         static METRICS: OrderedMutex<u64> = OrderedMutex::new(RANK_METRICS, "metrics", 0);
         {
-            let _r = REGISTRY.lock();
+            let mut m = METRICS.lock();
+            *m += 1;
         }
-        let _b = BARRIER.lock();
-        let _c = COMMIT.lock();
+        let _o = OUTER.lock();
         let mut m = METRICS.lock();
         *m += 1;
-        assert_eq!(REGISTRY.rank(), 0);
-        assert_eq!(BARRIER.rank(), 2);
-        assert_eq!(COMMIT.rank(), 3);
+        assert_eq!(OUTER.rank(), 240);
+        assert_eq!(METRICS.rank(), 0);
         assert_eq!(METRICS.name(), "metrics");
     }
 
     #[test]
     fn sibling_instances_share_a_rank_cleanly() {
-        // Two distinct per-group barriers carry the same rank; holding
-        // one while a *different* group's cycle runs must not trip the
-        // checker (same-rank pairs record no edge).
-        static GA: OrderedMutex<()> = OrderedMutex::new(RANK_GROUP_BARRIER, "group_barrier", ());
-        static GB: OrderedMutex<()> = OrderedMutex::new(RANK_GROUP_BARRIER, "group_barrier", ());
-        let _a = GA.lock();
-        let _b = GB.lock();
+        // Two distinct instances carry the same rank; holding one while
+        // taking the other must not trip the checker (same-rank pairs
+        // record no edge). Checked for a test rank and for metrics.
+        static SA: OrderedMutex<()> = OrderedMutex::new(250, "sibling", ());
+        static SB: OrderedMutex<()> = OrderedMutex::new(250, "sibling", ());
+        static MA: OrderedMutex<()> = OrderedMutex::new(RANK_METRICS, "metrics", ());
+        static MB: OrderedMutex<()> = OrderedMutex::new(RANK_METRICS, "metrics", ());
+        let _a = SA.lock();
+        let _b = SB.lock();
+        let _ma = MA.lock();
+        let _mb = MB.lock();
     }
 }
