@@ -14,7 +14,7 @@
 //! and independent of how many physical CPUs the harness machine has
 //! (CI runners are often single-core, where a wall-clock comparison
 //! could never show thread-level speedup). `--hash-micro` is the
-//! wall-clock companion: it times the *real* `hash_plan` implementation
+//! wall-clock companion: it times the *real* `hash_picked` implementation
 //! to sanity-check the `HASH_BW_PER_CORE` calibration.
 //!
 //! Flags:
@@ -159,8 +159,9 @@ fn run_workers(cfg: &BenchConfig, workers: usize) -> WorkerResult {
     }
 }
 
-/// Isolated hash-stage probe (`--hash-micro`): wall-times `hash_plan`
-/// alone on a plan of materialized pages, per worker count. The 1-worker
+/// Isolated hash-stage probe (`--hash-micro`): wall-times the flush
+/// path's `hash_picked` alone on a plan of materialized pages, every
+/// page picked and none hashed yet, per worker count. The 1-worker
 /// ns/page figure is what `HASH_BW_PER_CORE` in `aurora_sim::cost` is
 /// calibrated against (≈6 µs per 4 KiB page, ~0.7 GB/s).
 fn hash_micro() {
@@ -175,14 +176,19 @@ fn hash_micro() {
         })
         .collect();
     for w in WORKERS {
+        let picked = vec![true; n];
+        let mut hashes = vec![None; n];
         let t0 = wall_now();
-        let out = flush::hash_plan(plan.clone(), w);
+        let out = flush::hash_picked(&plan, &picked, &mut hashes, w);
         let dt = t0.elapsed();
+        let out = match out {
+            Ok(writes) => writes.len().to_string(),
+            Err(e) => format!("error: {e}"),
+        };
         println!(
-            "hash_plan n={n} workers={w}: {:?} ({:.0} ns/page), out={}",
+            "hash_picked n={n} workers={w}: {:?} ({:.0} ns/page), out={out}",
             dt,
             dt.as_nanos() as f64 / n as f64,
-            out.len()
         );
     }
 }

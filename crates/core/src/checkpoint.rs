@@ -288,11 +288,11 @@ impl Host {
         let mut folded = 0u64;
         for backend in group.backends.iter_mut() {
             let mut store = backend.store.borrow_mut();
-            let (delta_max_bytes, delta_max_chain) = store.delta_policy();
+            let (delta_max_bytes, _) = store.delta_policy();
             if delta_max_bytes == 0 {
                 continue;
             }
-            let n = store.compact_chains(delta_max_chain)? as u64;
+            let n = store.compact_chains()? as u64;
             if n > 0 {
                 folded += n;
                 if let Some(head) = store.head() {
@@ -865,14 +865,14 @@ pub(crate) struct FlushReport {
 ///
 /// The pipeline runs in three stages:
 ///
-/// 1. **Resolve + hash** — each armed page is resolved to its store
-///    object once, then content-hashed on the `flush::hash_plan` worker
-///    pool. The hashes are computed *once* and reused by every backend
-///    (the serial path re-hashed the plan per backend inside
-///    `write_page`).
-/// 2. **Coalesced write** — each backend applies the whole plan through
+/// 1. **Resolve** — each armed page is resolved to its store object
+///    once. The hash stage's virtual charge covers the whole plan.
+/// 2. **Partition, hash, coalesced write** — each backend stages its
+///    sub-page deltas, then writes the remaining full images through
 ///    `ObjectStore::write_pages_coalesced`, which batches adjacent
-///    fresh blocks into extent-sized vectored device writes.
+///    fresh blocks into extent-sized vectored device writes. Only those
+///    images are content-hashed (`flush::hash_picked`, on the worker
+///    pool), each at most once: later backends reuse the hashes.
 /// 3. **Commit** — unchanged; the checkpoint is durable at the max of
 ///    the backends' durable instants. Backends overlap in virtual
 ///    time: device submissions complete asynchronously and only the
@@ -893,7 +893,7 @@ fn flush_capture(
     let next_group = sls.next_group_value();
     let workers = sls.flush_workers.max(1);
 
-    // --- Stage 1: resolve the plan and hash it on the worker pool. ----
+    // --- Stage 1: resolve the plan. -------------------------------------
     let mut plan: Vec<crate::flush::PlanPage> = Vec::with_capacity(captured.plan.flush.len());
     for fp in &captured.plan.flush {
         let oid = captured
@@ -929,7 +929,11 @@ fn flush_capture(
         // durable instant below waits for the lane to finish.
         FlushMode::Pipelined => sls.fleet.hash_slot(flush_start, hash_stage),
     };
-    let writes = crate::flush::hash_plan(plan, workers);
+    // Content hashes only feed the full-image path's dedup index, so each
+    // page is hashed the first time some backend writes it as an image
+    // and the hash is reused by every later backend. The virtual charge
+    // above still covers the whole plan.
+    let mut hashes: Vec<Option<u64>> = vec![None; plan.len()];
     let group = sls
         .groups
         .get_mut(&gid.0)
@@ -969,32 +973,30 @@ fn flush_capture(
         // every page of a full checkpoint — takes the coalesced
         // full-image path, which doubles as chain truncation.
         let (delta_max_bytes, delta_max_chain) = store.delta_policy();
-        let mut full_count = writes.len() as u64;
-        if full || delta_max_bytes == 0 {
-            store.write_pages_coalesced(&writes)?;
-        } else {
-            let mut images: Vec<aurora_objstore::PageWrite> = Vec::new();
-            for w in &writes {
-                let runs = masks
-                    .get(&(w.oid, w.idx))
-                    .and_then(|m| m.runs())
-                    .filter(|runs| {
-                        let bytes: u64 = runs.iter().map(|&(_, l)| l as u64).sum();
-                        bytes > 0 && bytes <= delta_max_bytes as u64
-                    })
-                    .filter(|_| {
-                        store
-                            .can_delta(w.oid, w.idx)
-                            .is_some_and(|len| len < delta_max_chain)
-                    });
-                match runs {
-                    Some(runs) => store.stage_delta(w.oid, w.idx, &w.page, runs)?,
-                    None => images.push(w.clone()),
-                }
+        let delta_path = !full && delta_max_bytes > 0;
+        let mut picked: Vec<bool> = Vec::with_capacity(plan.len());
+        for (oid, idx, page) in &plan {
+            let runs = masks
+                .get(&(*oid, *idx))
+                .filter(|_| delta_path)
+                .and_then(|m| m.runs())
+                .filter(|runs| {
+                    let bytes: u64 = runs.iter().map(|&(_, l)| l as u64).sum();
+                    bytes > 0 && bytes <= delta_max_bytes as u64
+                })
+                .filter(|_| {
+                    store
+                        .can_delta(*oid, *idx)
+                        .is_some_and(|len| len < delta_max_chain)
+                });
+            if let Some(runs) = runs {
+                store.stage_delta(*oid, *idx, page, runs)?;
             }
-            full_count = images.len() as u64;
-            store.write_pages_coalesced(&images)?;
+            picked.push(runs.is_none());
         }
+        let images = crate::flush::hash_picked(&plan, &picked, &mut hashes, workers)?;
+        let full_count = images.len() as u64;
+        store.write_pages_coalesced(&images)?;
         extents += store.stats.extents_coalesced - ext0;
         extent_blocks += store.stats.blocks_coalesced - blk0;
         for (key, bytes) in &captured.blobs {

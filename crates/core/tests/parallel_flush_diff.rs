@@ -1,6 +1,6 @@
 //! Differential test for the parallel flush pipeline.
 //!
-//! For random workloads, the coalesced parallel path (`hash_plan` at
+//! For random workloads, the coalesced parallel path (`hash_picked` at
 //! 1/2/8 workers feeding `write_pages_coalesced`) must leave the store
 //! in *exactly* the state the serial `write_page` loop does: the same
 //! bytes on the device, the same dedup hit count, the same number of
@@ -22,6 +22,12 @@ use aurora_objstore::{ObjId, ObjectStore, StoreConfig};
 use aurora_sim::SimClock;
 use aurora_vm::PageData;
 use proptest::prelude::*;
+
+/// The hash stage with every plan page written as a full image.
+fn hash_all(plan: &[flush::PlanPage], workers: usize) -> Vec<aurora_objstore::PageWrite> {
+    let n = plan.len();
+    flush::hash_picked(plan, &vec![true; n], &mut vec![None; n], workers).unwrap()
+}
 
 /// Device size in blocks (small: images are digested block by block).
 const DEV_BLOCKS: u64 = 4096;
@@ -93,7 +99,7 @@ fn run_variant(writes: &[Write], workers: Option<usize>) -> (u64, u64, u64) {
                     .iter()
                     .map(|&(obj, idx, seed)| (ObjId(obj), idx, PageData::Seeded(seed)))
                     .collect();
-                let hashed = flush::hash_plan(plan, w);
+                let hashed = hash_all(&plan, w);
                 store.write_pages_coalesced(&hashed).unwrap();
             }
         }
@@ -137,7 +143,7 @@ fn coalescing_batches_adjacent_blocks() {
     let plan: Vec<flush::PlanPage> = (0..128u64)
         .map(|i| (ObjId(0), i % 64, PageData::Seeded(1000 + i)))
         .collect();
-    let hashed = flush::hash_plan(plan, 4);
+    let hashed = hash_all(&plan, 4);
     store.write_pages_coalesced(&hashed).unwrap();
     store.commit(None).unwrap();
     assert!(store.stats.extents_coalesced > 0);
@@ -174,7 +180,7 @@ fn concurrent_hash_stages_never_swap_results() {
             .collect()
     };
     let hashes = |plan: Vec<flush::PlanPage>, workers: usize| -> Vec<u64> {
-        flush::hash_plan(plan, workers).iter().map(|w| w.hash).collect()
+        hash_all(&plan, workers).iter().map(|w| w.hash).collect()
     };
     let wrong: usize = std::thread::scope(|s| {
         let callers: Vec<_> = [1u64, 1 << 32]

@@ -17,10 +17,12 @@
 //! * `chain_len` counts records from the base (head record holds the
 //!   chain's length); a full-image write truncates the chain.
 //! * Records unreachable from any committed checkpoint's delta heads are
-//!   dead and pruned ([`DeltaLog::prune`]); the journal bytes they
-//!   occupied are reclaimed at the next compaction snapshot.
+//!   dead. GC prunes the chains under the heads its merge dropped
+//!   ([`DeltaLog::prune_chain`]); mount runs the full mark-and-sweep
+//!   ([`DeltaLog::prune`]). The journal bytes they occupied are
+//!   reclaimed at the next compaction snapshot.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
@@ -170,6 +172,24 @@ impl DeltaLog {
     /// match the head's `chain_len` exactly — either direction means the
     /// log lost or fabricated records.
     pub fn chain(&self, head: Lsn) -> Result<Vec<&DeltaRecord>> {
+        let mut out = Vec::new();
+        self.walk(head, |rec| out.push(rec))?;
+        out.reverse();
+        Ok(out)
+    }
+
+    /// The base image of the chain ending at `head`: the same walk and
+    /// integrity checks as [`DeltaLog::chain`], without collecting the
+    /// records.
+    pub fn chain_base(&self, head: Lsn) -> Result<BlockPtr> {
+        let mut base = None;
+        self.walk(head, |rec| base = Some(rec.base))?;
+        base.ok_or_else(|| Error::corrupt(format!("delta chain at lsn {head} is empty")))
+    }
+
+    /// Visits the chain ending at `head`, head first, checking every
+    /// back-pointer and the head's `chain_len`.
+    fn walk<'a>(&'a self, head: Lsn, mut visit: impl FnMut(&'a DeltaRecord)) -> Result<()> {
         let expected = self
             .records
             .get(&head)
@@ -178,26 +198,25 @@ impl DeltaLog {
         if expected == 0 {
             return Err(Error::corrupt(format!("delta head {head} has chain_len 0")));
         }
-        let mut out = Vec::with_capacity(expected);
+        let mut walked = 0usize;
         let mut cur = Some(head);
         while let Some(lsn) = cur {
             let rec = self.records.get(&lsn).ok_or_else(|| {
                 Error::corrupt(format!("delta chain references missing lsn {lsn}"))
             })?;
-            if out.len() >= expected {
+            if walked >= expected {
                 return Err(Error::corrupt("delta chain longer than its chain_len"));
             }
-            out.push(rec);
+            walked += 1;
+            visit(rec);
             cur = rec.prev;
         }
-        if out.len() != expected {
+        if walked != expected {
             return Err(Error::corrupt(format!(
-                "delta chain at {head} has {} records, chain_len says {expected}",
-                out.len()
+                "delta chain at {head} has {walked} records, chain_len says {expected}"
             )));
         }
-        out.reverse();
-        Ok(out)
+        Ok(())
     }
 
     /// Length of the chain ending at `head` per its head record.
@@ -218,10 +237,9 @@ impl DeltaLog {
         Ok(page)
     }
 
-    /// Drops every record unreachable from `heads` (walking `prev`
-    /// chains). Returns `(records, bytes)` reclaimed.
-    pub fn prune(&mut self, heads: impl IntoIterator<Item = Lsn>) -> (usize, u64) {
-        let mut live = std::collections::HashSet::new();
+    /// Every record reachable from `heads` by walking `prev` chains.
+    pub(crate) fn reachable(&self, heads: impl IntoIterator<Item = Lsn>) -> HashSet<Lsn> {
+        let mut live = HashSet::new();
         let mut stack: Vec<Lsn> = heads.into_iter().collect();
         while let Some(lsn) = stack.pop() {
             if !live.insert(lsn) {
@@ -233,6 +251,14 @@ impl DeltaLog {
                 }
             }
         }
+        live
+    }
+
+    /// Drops every record unreachable from `heads` (walking `prev`
+    /// chains): the full mark-and-sweep recovery runs at mount. Returns
+    /// `(records, bytes)` reclaimed.
+    pub fn prune(&mut self, heads: impl IntoIterator<Item = Lsn>) -> (usize, u64) {
+        let live = self.reachable(heads);
         // Dead chain segments: their journal bytes are reclaimed at the
         // next compaction snapshot.
         let dead: Vec<Lsn> =
@@ -245,6 +271,25 @@ impl DeltaLog {
         }
         self.bytes -= freed;
         (dead.len(), freed)
+    }
+
+    /// Drops the chain under a dropped head `head`, down to the first
+    /// record one of `keep` (the surviving heads of the same page) still
+    /// reaches: below that point the whole chain stays live. Costs the
+    /// length of the chains involved, not the size of the log — the GC
+    /// path's prune. Returns `(records, bytes)` reclaimed.
+    pub fn prune_chain(&mut self, head: Lsn, keep: &[Lsn]) -> (usize, u64) {
+        let kept = self.reachable(keep.iter().copied());
+        let (mut dropped, mut freed) = (0usize, 0u64);
+        let mut cur = Some(head);
+        while let Some(lsn) = cur.filter(|l| !kept.contains(l)) {
+            let Some(rec) = self.records.remove(&lsn) else { break };
+            dropped += 1;
+            freed += rec.encoded_len() as u64;
+            cur = rec.prev;
+        }
+        self.bytes -= freed;
+        (dropped, freed)
     }
 
     /// All live records, ascending LSN (compaction snapshots carry them).
@@ -348,6 +393,64 @@ mod tests {
         // A head whose chain_len undercounts the walk is corrupt.
         log.insert(20, rec(Some(8), 2, vec![])).unwrap();
         assert!(log.chain(20).is_err());
+    }
+
+    /// `chain_base` must agree with `chain` on every chain: the same
+    /// base when the chain is sound, the same error text when not.
+    fn assert_chain_check_agrees(log: &DeltaLog, head: Lsn) {
+        let full = log.chain(head).map(|c| c.first().map(|r| r.base));
+        let walk = log.chain_base(head).map(Some);
+        match (full, walk) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "head {head}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "head {head}"),
+            (a, b) => panic!("head {head}: chain() {a:?}, chain_base() {b:?}"),
+        }
+    }
+
+    #[test]
+    fn chain_base_matches_chain() {
+        let mut log = DeltaLog::default();
+        // Sound chain of three over base block 42.
+        log.insert(1, rec(None, 1, vec![])).unwrap();
+        log.insert(2, rec(Some(1), 2, vec![])).unwrap();
+        log.insert(3, rec(Some(2), 3, vec![])).unwrap();
+        assert_eq!(log.chain_base(3).unwrap(), BlockPtr(42));
+        // Short: the head claims four records, the walk finds three.
+        log.insert(4, rec(Some(3), 5, vec![])).unwrap();
+        // Over-long: the head claims two, the walk finds four.
+        log.insert(5, rec(Some(3), 2, vec![])).unwrap();
+        // chain_len 0.
+        log.insert(6, rec(None, 0, vec![])).unwrap();
+        // Dangling back-pointer.
+        log.insert(8, rec(Some(7), 2, vec![])).unwrap();
+        for head in [1, 2, 3, 4, 5, 6, 8, 9] {
+            assert_chain_check_agrees(&log, head);
+        }
+        // Missing head (9) and each broken shape really is an error.
+        for head in [4, 5, 6, 8, 9] {
+            assert!(log.chain_base(head).is_err(), "head {head}");
+        }
+    }
+
+    #[test]
+    fn prune_chain_stops_where_a_surviving_head_reaches() {
+        let mut log = DeltaLog::default();
+        // 1 <- 2 <- 3 (dropped head), and a surviving head 4 over 2.
+        log.insert(1, rec(None, 1, vec![(0, vec![1])])).unwrap();
+        log.insert(2, rec(Some(1), 2, vec![(1, vec![2])])).unwrap();
+        log.insert(3, rec(Some(2), 3, vec![(2, vec![3])])).unwrap();
+        log.insert(4, rec(Some(2), 3, vec![(3, vec![4])])).unwrap();
+        let before = log.bytes();
+        let (dropped, freed) = log.prune_chain(3, &[4]);
+        assert_eq!(dropped, 1);
+        assert_eq!(log.bytes(), before - freed);
+        assert!(log.get(3).is_none());
+        assert!(log.get(1).is_some() && log.get(2).is_some() && log.get(4).is_some());
+        // With no survivor the whole chain goes.
+        let (dropped, _) = log.prune_chain(4, &[]);
+        assert_eq!(dropped, 3);
+        assert!(log.is_empty());
+        assert_eq!(log.bytes(), 0);
     }
 
     #[test]

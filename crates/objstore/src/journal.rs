@@ -8,7 +8,7 @@
 //! keeps per-checkpoint metadata cost low — the property the paper needs
 //! to take "hundreds of checkpoints per second".
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
@@ -17,6 +17,7 @@ use aurora_hw::BLOCK_SIZE;
 
 use crate::checkpoint::{Checkpoint, CkptId};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
+use crate::ObjId;
 
 /// Journal record tags.
 pub const TAG_COMMIT: u16 = 1;
@@ -198,16 +199,71 @@ pub fn replay_lossy(records: Vec<JournalRecord>) -> (BTreeMap<u64, Checkpoint>, 
     (ckpts, log)
 }
 
+/// Lays `top` (the child's entries) over `bottom` (the victim's) by
+/// inserting the smaller map into the larger: the union where `top`
+/// wins, at the cost of the smaller map. `bottom` entries of `masked`
+/// objects, and those `top` overrides, go to `dropped`. Masking a
+/// larger `bottom` is one pass over all of it: the maps are keyed by
+/// page, not grouped by object.
+fn overlay<V: Copy>(
+    bottom: HashMap<(ObjId, u64), V>,
+    top: HashMap<(ObjId, u64), V>,
+    masked: &HashSet<ObjId>,
+    mut dropped: impl FnMut((ObjId, u64), V),
+) -> HashMap<(ObjId, u64), V> {
+    if bottom.len() > top.len() {
+        let mut merged = bottom;
+        if !masked.is_empty() {
+            merged.retain(|key, v| {
+                let keep = !masked.contains(&key.0);
+                if !keep {
+                    dropped(*key, *v);
+                }
+                keep
+            });
+        }
+        for (key, v) in top {
+            if let Some(old) = merged.insert(key, v) {
+                dropped(key, old);
+            }
+        }
+        merged
+    } else {
+        let mut merged = top;
+        for (key, v) in bottom {
+            if masked.contains(&key.0) || merged.contains_key(&key) {
+                dropped(key, v);
+            } else {
+                merged.insert(key, v);
+            }
+        }
+        merged
+    }
+}
+
+/// What a GC merge let go of.
+#[derive(Debug, Default)]
+pub struct Released {
+    /// Block pointers the merged table no longer holds; the caller drops
+    /// one block ref for each.
+    pub blocks: Vec<crate::BlockPtr>,
+    /// Delta-chain heads the merged table no longer names, with the page
+    /// each was keyed under; the caller prunes the chains under them.
+    pub heads: Vec<((ObjId, u64), Lsn)>,
+}
+
 /// Merges checkpoint `id` into its sole child and removes it.
 ///
 /// Entries (pages, blobs, object births/deaths) the child does not
 /// override are transferred — pointer moves only, no data rewrites. The
-/// caller adjusts block refcounts for the dropped (overridden) pointers;
-/// this function returns them.
-pub fn apply_delete(
-    ckpts: &mut BTreeMap<u64, Checkpoint>,
-    id: CkptId,
-) -> Result<Vec<crate::BlockPtr>> {
+/// merge inserts the smaller side into the larger: after a few GCs the
+/// oldest checkpoint carries most of the image, so its maps become the
+/// child's with the child's own entries laid on top, at the cost of the
+/// child. A child that deleted or re-created an object is the
+/// exception: masking that object out of the victim's larger maps costs
+/// one pass over them. Returns the block pointers and delta heads the
+/// merge dropped.
+pub fn apply_delete(ckpts: &mut BTreeMap<u64, Checkpoint>, id: CkptId) -> Result<Released> {
     let children: Vec<u64> = ckpts
         .values()
         .filter(|c| c.parent == Some(id))
@@ -223,64 +279,98 @@ pub fn apply_delete(
     let victim = ckpts
         .remove(&id.0)
         .ok_or_else(|| Error::not_found(format!("checkpoint {}", id.0)))?;
-    let mut dropped = Vec::new();
-    match children.first() {
-        None => {
-            // No child: every pointer the victim held is released.
-            dropped.extend(victim.pages.values().copied());
+    let mut out = Released::default();
+    let Some(&child_id) = children.first() else {
+        // No child: every pointer and head the victim held is released.
+        out.blocks.extend(victim.pages.into_values());
+        out.heads.extend(victim.deltas);
+        return Ok(out);
+    };
+    let child = ckpts.get_mut(&child_id).ok_or_else(|| {
+        Error::internal(format!("checkpoint {child_id} vanished during delete"))
+    })?;
+    child.parent = victim.parent;
+    let reborn: HashSet<ObjId> = child.new_objects.iter().map(|(o, _)| *o).collect();
+    // A child that deleted or re-created an object does not need the
+    // victim's pages or chains for it.
+    let masked: HashSet<ObjId> =
+        child.deleted_objects.iter().chain(reborn.iter()).copied().collect();
+    // Born in the victim, deleted (and not re-created) in the child: the
+    // object never existed as far as later checkpoints care, so the
+    // child keeps nothing of it either.
+    let vanished: HashSet<ObjId> = victim
+        .new_objects
+        .iter()
+        .map(|(o, _)| *o)
+        .filter(|o| child.deleted_objects.contains(o) && !reborn.contains(o))
+        .collect();
+    if !vanished.is_empty() {
+        child.pages.retain(|key, ptr| {
+            let keep = !vanished.contains(&key.0);
+            if !keep {
+                out.blocks.push(*ptr);
+            }
+            keep
+        });
+        child.deltas.retain(|key, lsn| {
+            let keep = !vanished.contains(&key.0);
+            if !keep {
+                out.heads.push((*key, *lsn));
+            }
+            keep
+        });
+    }
+
+    // A child's full image truncates the victim's chain for that page.
+    let child_pages = std::mem::take(&mut child.pages);
+    let mut victim_deltas = victim.deltas;
+    if child_pages.len() < victim_deltas.len() {
+        for key in child_pages.keys() {
+            if let Some(head) = victim_deltas.remove(key) {
+                out.heads.push((*key, head));
+            }
         }
-        Some(&child_id) => {
-            let child = ckpts.get_mut(&child_id).ok_or_else(|| {
-                Error::internal(format!("checkpoint {child_id} vanished during delete"))
-            })?;
-            child.parent = victim.parent;
-            // Delta heads first: a head the child overrides (full page or
-            // newer head) is simply dropped — its records stay reachable
-            // through the child chain's back-pointers when still needed,
-            // and the caller prunes truly dead segments afterwards.
-            for (key, lsn) in victim.deltas {
-                let oid = key.0;
-                let masked = child.deleted_objects.contains(&oid)
-                    || child.new_objects.iter().any(|(o, _)| *o == oid);
-                if !masked && !child.pages.contains_key(&key) && !child.deltas.contains_key(&key)
-                {
-                    child.deltas.insert(key, lsn);
-                }
+    } else {
+        victim_deltas.retain(|key, head| {
+            let keep = !child_pages.contains_key(key);
+            if !keep {
+                out.heads.push((*key, *head));
             }
-            for (key, ptr) in victim.pages {
-                // A child that deleted or re-created the object does not
-                // need the old pages.
-                let oid = key.0;
-                let masked = child.deleted_objects.contains(&oid)
-                    || child.new_objects.iter().any(|(o, _)| *o == oid);
-                if masked || child.pages.contains_key(&key) {
-                    dropped.push(ptr);
-                } else {
-                    child.pages.insert(key, ptr);
-                }
-            }
-            for (k, v) in victim.blobs {
-                child.blobs.entry(k).or_insert(v);
-            }
-            for (oid, size) in victim.new_objects {
-                if !child.deleted_objects.contains(&oid) {
-                    child.new_objects.push((oid, size));
-                } else {
-                    // Born in the victim, deleted in the child: the object
-                    // never existed as far as later checkpoints care.
-                    child.deleted_objects.retain(|&o| o != oid);
-                    child.pages.retain(|(o, _), _| *o != oid);
-                    child.deltas.retain(|(o, _), _| *o != oid);
-                }
-            }
-            for oid in victim.deleted_objects {
-                if !child.deleted_objects.contains(&oid) {
-                    child.deleted_objects.push(oid);
-                }
-            }
+            keep
+        });
+    }
+    // A child's delta head supersedes the victim's (its chain still
+    // reaches the victim's records through `prev` when it needs them);
+    // the victim's page entry stays as the chain's inherited base image.
+    let child_deltas = std::mem::take(&mut child.deltas);
+    child.deltas = overlay(victim_deltas, child_deltas, &masked, |key, head| {
+        out.heads.push((key, head))
+    });
+    child.pages = overlay(victim.pages, child_pages, &masked, |_, ptr| out.blocks.push(ptr));
+    if victim.blobs.len() > child.blobs.len() {
+        let mut blobs = victim.blobs;
+        blobs.extend(std::mem::take(&mut child.blobs));
+        child.blobs = blobs;
+    } else {
+        for (k, v) in victim.blobs {
+            child.blobs.entry(k).or_insert(v);
         }
     }
-    Ok(dropped)
+    for (oid, size) in victim.new_objects {
+        if !child.deleted_objects.contains(&oid) {
+            child.new_objects.push((oid, size));
+        } else {
+            // Born in the victim, deleted in the child: drop the death
+            // too. A re-created object keeps its birth (and pages).
+            child.deleted_objects.retain(|&o| o != oid);
+        }
+    }
+    for oid in victim.deleted_objects {
+        if !child.deleted_objects.contains(&oid) {
+            child.deleted_objects.push(oid);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -414,7 +504,7 @@ mod tests {
 
         // Deleting c1 inherits the chain's base block into c2 — the base
         // must NOT be released while a chain still replays over it.
-        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
+        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap().blocks;
         assert!(dropped.is_empty());
         let c2 = ckpts.get(&2).unwrap();
         assert_eq!(c2.pages.get(&(ObjId(1), 0)), Some(&BlockPtr(10)));
@@ -422,7 +512,7 @@ mod tests {
 
         // Deleting c2 drops its (older) head: c3's chain still reaches
         // lsn 1 through its back-pointer, and the base moves to c3.
-        let dropped = apply_delete(&mut ckpts, CkptId(2)).unwrap();
+        let dropped = apply_delete(&mut ckpts, CkptId(2)).unwrap().blocks;
         assert!(dropped.is_empty());
         let c3 = ckpts.get(&3).unwrap();
         assert_eq!(c3.pages.get(&(ObjId(1), 0)), Some(&BlockPtr(10)));
@@ -442,7 +532,7 @@ mod tests {
         ckpts.insert(1, c1);
         ckpts.insert(2, c2);
 
-        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
+        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap().blocks;
         // Page 1 was overridden by the child: its old block is released.
         assert_eq!(dropped, vec![BlockPtr(11)]);
         // Page 0 and the blob transferred; reads still resolve.
@@ -460,7 +550,7 @@ mod tests {
         let mut c1 = ck(1, None);
         c1.pages.insert((ObjId(1), 0), BlockPtr(10));
         ckpts.insert(1, c1);
-        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
+        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap().blocks;
         assert_eq!(dropped, vec![BlockPtr(10)]);
         assert!(ckpts.is_empty());
     }

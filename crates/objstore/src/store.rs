@@ -9,7 +9,7 @@
 //! [`ObjectStore::recover`], exactly like a real crash.
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use aurora_hw::{BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
@@ -151,6 +151,28 @@ struct LiveObject {
     size_pages: u64,
 }
 
+impl LiveObject {
+    /// The effective page map in index order, as
+    /// [`checkpoint::effective_refs`] folds it for a checkpoint: a delta
+    /// head outranks the base image under it.
+    fn refs(&self) -> Vec<(u64, PageRef)> {
+        let mut out = Vec::with_capacity(self.map.len());
+        let mut heads = self.deltas.iter().peekable();
+        for (&idx, &ptr) in &self.map {
+            // A head with no base entry (a damaged overlay) still counts.
+            while let Some((&h, &lsn)) = heads.next_if(|(&h, _)| h < idx) {
+                out.push((h, PageRef::Delta(lsn)));
+            }
+            match heads.next_if(|(&h, _)| h == idx) {
+                Some((_, &lsn)) => out.push((idx, PageRef::Delta(lsn))),
+                None => out.push((idx, PageRef::Full(ptr))),
+            }
+        }
+        out.extend(heads.map(|(&h, &lsn)| (h, PageRef::Delta(lsn))));
+        out
+    }
+}
+
 /// Folds the committed chain ending at `head` into live object maps —
 /// the authoritative reconstruction used by recovery and by
 /// [`ObjectStore::rollback_pending`].
@@ -175,6 +197,12 @@ fn fold_live(
         let ck = ckpts
             .get(id)
             .ok_or_else(|| Error::corrupt(format!("checkpoint {id} vanished mid-fold")))?;
+        // Deaths before births: a checkpoint naming an object in both
+        // lists deleted the old incarnation and created a new one, whose
+        // pages are the ones recorded here.
+        for oid in &ck.deleted_objects {
+            live.remove(oid);
+        }
         for (oid, size) in &ck.new_objects {
             live.insert(
                 *oid,
@@ -199,11 +227,24 @@ fn fold_live(
                 obj.deltas.insert(*idx, *lsn);
             }
         }
-        for oid in &ck.deleted_objects {
-            live.remove(oid);
-        }
     }
     Ok(live)
+}
+
+/// The live overlay pages whose chain reached `max_chain` records (the
+/// chain compactor's candidates). A page whose chain cannot be walked
+/// is kept too, so that the next [`ObjectStore::compact_chains`]
+/// reports the damage as the full scan would.
+fn capped_pages(
+    live: &HashMap<ObjId, LiveObject>,
+    delta: &DeltaLog,
+    max_chain: u32,
+) -> BTreeSet<(ObjId, u64)> {
+    live.iter()
+        .flat_map(|(&oid, obj)| obj.deltas.iter().map(move |(&idx, &head)| (oid, idx, head)))
+        .filter(|&(_, _, head)| !matches!(delta.chain_len(head), Ok(len) if len < max_chain))
+        .map(|(oid, idx, _)| (oid, idx))
+        .collect()
 }
 
 /// Expected block refcounts for committed state: one per
@@ -626,6 +667,11 @@ pub struct ObjectStore {
     pending_deltas: BTreeMap<(ObjId, u64), DeltaRecord>,
     /// Committed delta records (rebuilt from the journal on recovery).
     delta: DeltaLog,
+    /// Live overlay pages whose chain was committed at `delta_max_chain`
+    /// records or more: the chain compactor's candidates. Entries whose
+    /// overlay head has since been truncated are dropped when the
+    /// compactor next looks.
+    capped: BTreeSet<(ObjId, u64)>,
     /// Page contents, the dedup index and the bounded read cache.
     cache: PageCache,
     /// Counters.
@@ -671,6 +717,7 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta: DeltaLog::default(),
+            capped: BTreeSet::new(),
             cache,
             stats: StoreStats::default(),
         })
@@ -732,6 +779,7 @@ impl ObjectStore {
         // newest checkpoint).
         let head = ckpts.keys().next_back().map(|&id| CkptId(id));
         let live = fold_live(&ckpts, head)?;
+        let capped = capped_pages(&live, &delta, config.delta_max_chain);
 
         // Rebuild refcounts: one per checkpoint-delta pointer plus one per
         // live-map pointer.
@@ -763,6 +811,7 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta,
+            capped,
             cache,
             stats: StoreStats::default(),
         })
@@ -1100,6 +1149,11 @@ impl ObjectStore {
     /// Committed delta records currently live in the journal.
     pub fn delta_log_len(&self) -> usize {
         self.delta.len()
+    }
+
+    /// The committed delta records (audits and differential tests).
+    pub fn delta_log(&self) -> &DeltaLog {
+        &self.delta
     }
 
     /// Encoded journal bytes of the live delta records.
@@ -1735,9 +1789,13 @@ impl ObjectStore {
             self.stats.delta_bytes += rec.encoded_len() as u64;
             self.stats.chain_len_max = self.stats.chain_len_max.max(rec.chain_len as u64);
             let key_idx = (rec.oid, rec.idx);
+            let capped = rec.chain_len >= self.config.delta_max_chain;
             self.delta.insert(l, rec)?;
             if let Some(obj) = self.live.get_mut(&key_idx.0) {
                 obj.deltas.insert(key_idx.1, l);
+                if capped {
+                    self.capped.insert(key_idx);
+                }
             }
         }
         let mut ck = ck;
@@ -1804,24 +1862,28 @@ impl ObjectStore {
         if self.head == Some(id) {
             return Err(Error::invalid("cannot GC the head checkpoint"));
         }
-        let dropped = journal::apply_delete(&mut self.ckpts, id)?;
-        for ptr in dropped {
+        #[cfg(debug_assertions)]
+        let before: Vec<Lsn> = self.delta.iter().map(|(l, _)| l).collect();
+        let released = journal::apply_delete(&mut self.ckpts, id)?;
+        for ptr in released.blocks {
             self.release_block(ptr);
         }
-        // The merge may have dropped delta heads; chain segments no
-        // surviving head reaches are dead. Prune before any compaction
-        // below snapshots the log.
-        let mut heads: Vec<Lsn> = self
-            .ckpts
-            .values()
-            .flat_map(|c| c.deltas.values().copied())
-            .collect();
-        // Live overlay heads are always covered by a committed
-        // checkpoint's heads, but root the walk on them too so a
-        // bookkeeping slip can only leak, never dangle.
-        heads.extend(self.live.values().flat_map(|o| o.deltas.values().copied()));
-        heads.extend(self.pending_deltas.values().filter_map(|r| r.prev));
-        self.delta.prune(heads);
+        // Chain segments only the merge's dropped heads reached are dead.
+        // Prune them before any compaction below snapshots the log.
+        for (key, head) in released.heads {
+            let keep = self.surviving_heads(key);
+            self.delta.prune_chain(head, &keep);
+        }
+        // The rooted prune must keep exactly what a full mark from every
+        // surviving head keeps.
+        #[cfg(debug_assertions)]
+        {
+            let reachable = self.delta.reachable(self.delta_roots());
+            let expected: Vec<Lsn> =
+                before.into_iter().filter(|l| reachable.contains(l)).collect();
+            let kept: Vec<Lsn> = self.delta.iter().map(|(l, _)| l).collect();
+            debug_assert_eq!(kept, expected, "GC prune diverged from the full mark");
+        }
         let bytes = journal::encode_record(&JournalRecord::Delete(id));
         let capacity = self.sb.journal_half_blocks() * BLOCK_SIZE as u64;
         if self.sb.journal_used + bytes.len() as u64 > capacity {
@@ -1847,6 +1909,33 @@ impl ObjectStore {
         self.dev.get_mut().clock().advance_to(done);
         self.stats.gc_runs += 1;
         Ok(())
+    }
+
+    /// Every head that can still name a record of page `key`'s chains:
+    /// each checkpoint's, the live overlay's, and a staged record's
+    /// `prev`. Live overlay heads are always covered by a committed
+    /// checkpoint's heads, but rooting on them too means a bookkeeping
+    /// slip can only leak, never dangle.
+    fn surviving_heads(&self, key: (ObjId, u64)) -> Vec<Lsn> {
+        let mut heads: Vec<Lsn> =
+            self.ckpts.values().filter_map(|c| c.deltas.get(&key).copied()).collect();
+        heads.extend(self.live.get(&key.0).and_then(|o| o.deltas.get(&key.1)));
+        heads.extend(self.pending_deltas.get(&key).and_then(|r| r.prev));
+        heads
+    }
+
+    /// [`ObjectStore::surviving_heads`] for every page at once: the roots
+    /// of the full mark the rooted prune is checked against.
+    #[cfg(debug_assertions)]
+    fn delta_roots(&self) -> Vec<Lsn> {
+        let mut heads: Vec<Lsn> = self
+            .ckpts
+            .values()
+            .flat_map(|c| c.deltas.values().copied())
+            .collect();
+        heads.extend(self.live.values().flat_map(|o| o.deltas.values().copied()));
+        heads.extend(self.pending_deltas.values().filter_map(|r| r.prev));
+        heads
     }
 
     /// Issues an ordered flush barrier against the device and waits for
@@ -2086,37 +2175,35 @@ impl ObjectStore {
             cache.dedup.clear();
             cache.block_hash.clear();
         }
+        self.capped = capped_pages(&live, &self.delta, self.config.delta_max_chain);
         self.live = live;
         Ok(())
     }
 
-    /// Background chain compactor: folds every live delta chain of at
-    /// least `min_len` records back into a full base image, committed
-    /// through the typestate protocol as its own checkpoint
+    /// Background chain compactor: folds every live delta chain that
+    /// reached `delta_max_chain` records back into a full base image,
+    /// committed through the typestate protocol as its own checkpoint
     /// (`chain-compact`). The full write truncates the chain — later
     /// incremental flushes start a fresh chain from the new base — while
     /// older checkpoints keep reading the folded records until GC drops
-    /// them.
+    /// them. Candidates come from the capped set, not a scan of the
+    /// whole overlay, and fold in `(object, page)` order.
     ///
     /// Returns the number of chains folded (0 = nothing to do, no
     /// checkpoint committed). Refuses to run with a staged delta
     /// pending: the compaction commit must not smuggle unrelated
     /// uncommitted work into its checkpoint.
-    pub fn compact_chains(&mut self, min_len: u32) -> Result<usize> {
+    pub fn compact_chains(&mut self) -> Result<usize> {
         if self.has_pending() {
             return Err(Error::invalid(
                 "cannot compact chains with a staged delta pending",
             ));
         }
-        let min_len = min_len.max(1);
-        let mut victims: Vec<(ObjId, u64, Lsn)> = Vec::new();
-        for (&oid, obj) in &self.live {
-            for (&idx, &head) in &obj.deltas {
-                if self.delta.chain_len(head)? >= min_len {
-                    victims.push((oid, idx, head));
-                }
-            }
-        }
+        let victims = self.capped_victims()?;
+        debug_assert!(
+            self.chain_victims().is_ok_and(|all| all == victims),
+            "capped-chain candidates diverged from the full overlay scan"
+        );
         if victims.is_empty() {
             return Ok(0);
         }
@@ -2130,6 +2217,44 @@ impl ObjectStore {
         self.commit(Some("chain-compact"))?;
         self.stats.chains_compacted += folded as u64;
         Ok(folded)
+    }
+
+    /// The compactor's reference, which debug builds check the capped
+    /// set against: every capped overlay head found by a full scan, in
+    /// `(object, page)` order.
+    fn chain_victims(&self) -> Result<Vec<(ObjId, u64, Lsn)>> {
+        let mut victims = Vec::new();
+        for (&oid, obj) in &self.live {
+            for (&idx, &head) in &obj.deltas {
+                if self.delta.chain_len(head)? >= self.config.delta_max_chain {
+                    victims.push((oid, idx, head));
+                }
+            }
+        }
+        victims.sort_unstable();
+        Ok(victims)
+    }
+
+    /// The overlay heads in the capped set whose chain still holds
+    /// `delta_max_chain` records, in `(object, page)` order. Drops the
+    /// entries whose overlay head was truncated since.
+    fn capped_victims(&mut self) -> Result<Vec<(ObjId, u64, Lsn)>> {
+        let max_chain = self.config.delta_max_chain;
+        let mut victims = Vec::new();
+        let mut stale = Vec::new();
+        for &(oid, idx) in &self.capped {
+            let head = self.live.get(&oid).and_then(|o| o.deltas.get(&idx).copied());
+            match head {
+                Some(head) if self.delta.chain_len(head)? >= max_chain => {
+                    victims.push((oid, idx, head));
+                }
+                _ => stale.push((oid, idx)),
+            }
+        }
+        for key in stale {
+            self.capped.remove(&key);
+        }
+        Ok(victims)
     }
 
     /// Verifies that one committed checkpoint is fully restorable:
@@ -2162,21 +2287,28 @@ impl ObjectStore {
                 return problems;
             }
         };
+        // At the head with nothing staged, the live overlay is the head's
+        // chain-merged page map: read it instead of re-folding the chain
+        // once per object.
+        let at_head = self.head == Some(ckpt) && !self.has_pending();
         for oid in objects {
-            for (idx, page_ref) in self.object_refs_at(ckpt, oid) {
+            let refs = match self.live.get(&oid) {
+                Some(obj) if at_head => obj.refs(),
+                None if at_head => Vec::new(),
+                _ => self.object_refs_at(ckpt, oid),
+            };
+            debug_assert!(
+                !at_head || refs == self.object_refs_at(ckpt, oid),
+                "live overlay of object {} diverged from the head's chain fold",
+                oid.0
+            );
+            for (idx, page_ref) in refs {
                 // A delta-backed page is restorable when every record in
                 // its chain is present and the chain's base block passes
                 // the same recoverability checks as a full image.
                 let ptr = match page_ref {
                     PageRef::Full(ptr) => ptr,
-                    PageRef::Delta(lsn) => match self
-                        .delta
-                        .chain(lsn)
-                        .and_then(|chain| {
-                            chain.first().map(|r| r.base).ok_or_else(|| {
-                                Error::corrupt(format!("delta chain at lsn {lsn} is empty"))
-                            })
-                        }) {
+                    PageRef::Delta(lsn) => match self.delta.chain_base(lsn) {
                         Ok(base) => base,
                         Err(e) => {
                             problems.push(format!(
@@ -2363,5 +2495,37 @@ impl core::fmt::Debug for ObjectStore {
             .field("checkpoints", &self.ckpts.len())
             .field("blocks_in_use", &self.alloc.in_use())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use aurora_hw::ModelDev;
+    use aurora_sim::error::ErrorKind;
+    use aurora_sim::SimClock;
+
+    use super::*;
+
+    #[test]
+    fn compaction_reports_a_live_head_missing_from_the_log() {
+        let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 64 * 1024));
+        let mut s = ObjectStore::format(dev, StoreConfig::default()).unwrap();
+        let oid = ObjId(1);
+        s.create_object(oid, 1).unwrap();
+        s.write_page(oid, 0, &PageData::Seeded(7)).unwrap();
+        s.commit(None).unwrap();
+        let page = s.read_page(oid, 0).unwrap().unwrap().write(0, &[1]);
+        s.stage_delta(oid, 0, &page, &[(0, 1)]).unwrap();
+        s.commit(None).unwrap();
+        // A one-record chain is far below the cap: compaction has
+        // nothing to fold while the log is whole.
+        assert_eq!(s.compact_chains().unwrap(), 0);
+        // Lose the live head's record, then rebuild the live state from
+        // the committed chain as an aborted checkpoint does.
+        s.delta.prune(std::iter::empty());
+        s.rollback_pending().unwrap();
+        let err = s.compact_chains().unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
     }
 }

@@ -98,7 +98,7 @@ pub const IPC_BYTE_NS_PER_64: u64 = 14;
 /// Per-core FNV-1a content-hash bandwidth (bytes/sec). One-byte-at-a-time
 /// FNV is serialized on its multiply dependency chain (~4 cycles/byte),
 /// which lands near 0.7 GB/s on the paper's Xeon Silver 4116 — confirmed
-/// by `bench_checkpoint --hash-micro`, which times the real `hash_plan`
+/// by `bench_checkpoint --hash-micro`, which times the real `hash_picked`
 /// implementation (≈6 µs per 4 KiB page). Charged to the simulation
 /// clock by the flush pipeline's hash stage, divided by worker count.
 pub const HASH_BW_PER_CORE: u64 = 700_000_000;
